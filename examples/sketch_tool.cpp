@@ -31,7 +31,6 @@
 #include "solvers/least_squares.hpp"
 #include "solvers/sap.hpp"
 #include "sparse/convert.hpp"
-#include "sparse/coo.hpp"
 #include "sparse/matrix_market.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/validate.hpp"
@@ -229,19 +228,12 @@ int cmd_sketch(const CliArgs& args, const CscMatrix<double>& a) {
                 "(%llu nonzeros processed)\n",
                 stats.measured_intensity(),
                 static_cast<unsigned long long>(stats.counters.nnz_processed));
-    report.write();
   }
 
-  // Emit the dense sketch in coordinate form for interoperability.
-  CooMatrix<double> coo(a_hat.rows(), a_hat.cols());
-  coo.reserve(a_hat.rows() * a_hat.cols());
-  for (index_t j = 0; j < a_hat.cols(); ++j) {
-    for (index_t i = 0; i < a_hat.rows(); ++i) {
-      if (a_hat(i, j) != 0.0) coo.push(i, j, a_hat(i, j));
-    }
-  }
-  write_matrix_market_file(out_path, coo_to_csc(coo));
+  write_matrix_market_file(out_path, a_hat);
   std::printf("wrote %s\n", out_path.c_str());
+  // After the output, so the report's span table covers io/write.
+  if (report.active()) report.write();
   return 0;
 }
 
@@ -325,19 +317,6 @@ int cmd_solve(const CliArgs& args, CscMatrix<double> a) {
   }
   std::printf(" ...\n");
   return 0;
-}
-
-/// Emit a dense sketch in coordinate Matrix Market form (interoperability —
-/// same encoding cmd_sketch has always used).
-void write_dense_mtx(const std::string& path, const DenseMatrix<double>& m) {
-  CooMatrix<double> coo(m.rows(), m.cols());
-  coo.reserve(m.rows() * m.cols());
-  for (index_t j = 0; j < m.cols(); ++j) {
-    for (index_t i = 0; i < m.rows(); ++i) {
-      if (m(i, j) != 0.0) coo.push(i, j, m(i, j));
-    }
-  }
-  write_matrix_market_file(path, coo_to_csc(coo));
 }
 
 struct ManifestJob {
@@ -455,7 +434,7 @@ int cmd_batch(const CliArgs& args) {
       continue;
     }
     try {
-      write_dense_mtx(m.out_path, outs[i]);
+      write_matrix_market_file(m.out_path, outs[i]);
       std::printf("job %zu: %s seed=%llu -> %s (%.3f s)\n", i,
                   m.matrix_path.c_str(),
                   static_cast<unsigned long long>(m.seed), m.out_path.c_str(),

@@ -2,33 +2,142 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <limits>
-#include <sstream>
+#include <string_view>
+#include <type_traits>
+#include <vector>
 
+#include "perf/perf.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/coo.hpp"
+#include "support/parallel.hpp"
 
 namespace rsketch {
 
 namespace {
 
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
+// ---- reading ----------------------------------------------------------------
+
+/// The whitespace istream >> skips in the C locale.
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+/// Next whitespace-separated token of `line` at or after `pos` (advanced past
+/// it); empty once the line is exhausted. A CRLF line's '\r' is whitespace.
+std::string_view next_token(std::string_view line, std::size_t& pos) {
+  while (pos < line.size() && is_space(line[pos])) ++pos;
+  const std::size_t start = pos;
+  while (pos < line.size() && !is_space(line[pos])) ++pos;
+  return line.substr(start, pos - start);
+}
+
+bool is_blank_or_comment(std::string_view line) {
+  return (!line.empty() && line[0] == '%') ||
+         std::all_of(line.begin(), line.end(), is_space);
+}
+
+/// from_chars takes no leading '+', which istream >> always accepted.
+std::string_view drop_plus(std::string_view tok) {
+  if (tok.size() > 1 && tok[0] == '+' && tok[1] != '+' && tok[1] != '-') {
+    tok.remove_prefix(1);
+  }
+  return tok;
+}
+
+/// Parse a whole token as an integer; trailing characters are an error.
+bool parse_index(std::string_view tok, index_t& out) {
+  tok = drop_plus(tok);
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// Parse a whole token as a finite T. Trailing characters ("2.5abc", "0x1p3"),
+/// nan, inf and overflow are errors; underflow reads as zero, as it always did
+/// through istream >> double.
+template <typename T>
+bool parse_value(std::string_view tok, T& out) {
+  tok = drop_plus(tok);
+  const char* end = tok.data() + tok.size();
+  T v = 0;
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  if (ec == std::errc::invalid_argument || ptr != end) return false;
+  if (ec == std::errc::result_out_of_range) {
+    // from_chars reports underflow and overflow alike; strto* tells them
+    // apart (HUGE_VAL on overflow). Only this rare path copies the token.
+    const std::string s(tok);
+    if constexpr (std::is_same_v<T, float>) {
+      v = std::strtof(s.c_str(), nullptr);
+    } else {
+      v = std::strtod(s.c_str(), nullptr);
+    }
+  }
+  if (!std::isfinite(v)) return false;
+  out = v;
+  return true;
+}
+
+/// Hands out the lines of a stream (without their '\n'), reading it in
+/// chunks of kMatrixMarketReadChunk bytes. A line that crosses a chunk
+/// boundary is moved to the front and completed by the next read; the buffer
+/// grows only for a line longer than itself. A returned view stays valid
+/// until the next call.
+class LineReader {
+ public:
+  explicit LineReader(std::istream& in) : in_(in), buf_(kMatrixMarketReadChunk) {}
+
+  bool next(std::string_view& line) {
+    for (;;) {
+      const char* first = buf_.data() + begin_;
+      const auto* nl =
+          static_cast<const char*>(std::memchr(first, '\n', end_ - begin_));
+      if (nl != nullptr) {
+        line = std::string_view(first, static_cast<std::size_t>(nl - first));
+        begin_ += line.size() + 1;
+        return true;
+      }
+      if (eof_) {
+        if (begin_ == end_) return false;
+        line = std::string_view(first, end_ - begin_);  // no final '\n'
+        begin_ = end_;
+        return true;
+      }
+      refill();
+    }
+  }
+
+ private:
+  void refill() {
+    std::memmove(buf_.data(), buf_.data() + begin_, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
+    if (end_ == buf_.size()) buf_.resize(2 * buf_.size());
+    in_.read(buf_.data() + end_, static_cast<std::streamsize>(buf_.size() - end_));
+    if (in_.bad()) throw io_error("MatrixMarket: read error");
+    const auto got = static_cast<std::size_t>(in_.gcount());
+    end_ += got;
+    eof_ = got == 0;
+  }
+
+  std::istream& in_;
+  std::vector<char> buf_;
+  std::size_t begin_ = 0;  ///< first unread byte
+  std::size_t end_ = 0;    ///< one past the last byte read
+  bool eof_ = false;
+};
+
+std::string lower(std::string_view s) {
+  std::string out(s);
+  std::transform(out.begin(), out.end(), out.begin(),
                  [](unsigned char c) { return std::tolower(c); });
-  return s;
-}
-
-/// Strip a trailing '\r' so files written on Windows (CRLF endings) parse
-/// identically to LF files — getline only eats the '\n'.
-void chomp(std::string& line) {
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-}
-
-bool is_blank(const std::string& line) {
-  return std::all_of(line.begin(), line.end(), [](unsigned char c) {
-    return std::isspace(c) != 0;
-  });
+  return out;
 }
 
 struct MmHeader {
@@ -37,10 +146,13 @@ struct MmHeader {
   bool skew = false;
 };
 
-MmHeader parse_banner(const std::string& line) {
-  std::istringstream iss(line);
-  std::string tag, object, format, field, symmetry;
-  iss >> tag >> object >> format >> field >> symmetry;
+MmHeader parse_banner(std::string_view line) {
+  std::size_t pos = 0;
+  const std::string_view tag = next_token(line, pos);
+  const std::string_view object = next_token(line, pos);
+  const std::string_view format = next_token(line, pos);
+  const std::string_view field = next_token(line, pos);
+  const std::string_view symmetry = next_token(line, pos);
   if (tag != "%%MatrixMarket") {
     throw io_error("MatrixMarket: missing %%MatrixMarket banner");
   }
@@ -49,11 +161,13 @@ MmHeader parse_banner(const std::string& line) {
   }
   const std::string f = lower(field);
   if (f != "real" && f != "integer" && f != "pattern") {
-    throw io_error("MatrixMarket: unsupported field type '" + field + "'");
+    throw io_error("MatrixMarket: unsupported field type '" +
+                   std::string(field) + "'");
   }
   const std::string s = lower(symmetry);
   if (s != "general" && s != "symmetric" && s != "skew-symmetric") {
-    throw io_error("MatrixMarket: unsupported symmetry '" + symmetry + "'");
+    throw io_error("MatrixMarket: unsupported symmetry '" +
+                   std::string(symmetry) + "'");
   }
   MmHeader h;
   h.pattern = (f == "pattern");
@@ -62,58 +176,131 @@ MmHeader parse_banner(const std::string& line) {
   return h;
 }
 
+// ---- writing ----------------------------------------------------------------
+
+/// Upper bound on the text of one entry: two 1-based indices (index_t has at
+/// most 19 digits), a shortest round-trip value (at most 24 characters, as in
+/// "-2.2250738585072014e-308"), two spaces and the newline.
+constexpr std::size_t kIndexChars = 20;
+constexpr std::size_t kValueChars = 24;
+constexpr std::size_t kMaxEntryChars = 2 * kIndexChars + kValueChars + 3;
+
+/// Format "i j v\n" at p and return the end. std::to_chars without a
+/// precision gives the shortest text that reads back to the same bits.
+template <typename T>
+char* format_entry(char* p, index_t i, index_t j, T v) {
+  p = std::to_chars(p, p + kIndexChars, i).ptr;
+  *p++ = ' ';
+  p = std::to_chars(p, p + kIndexChars, j).ptr;
+  *p++ = ' ';
+  p = std::to_chars(p, p + kValueChars, v).ptr;
+  *p++ = '\n';
+  return p;
+}
+
+void write_header(std::ostream& out, index_t m, index_t n, index_t nnz) {
+  out << "%%MatrixMarket matrix coordinate real general\n"
+      << m << ' ' << n << ' ' << nnz << '\n';
+}
+
+std::ofstream open_for_write(const std::string& path) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) throw io_error("MatrixMarket: cannot open '" + path + "'");
+  return out;
+}
+
+void close_checked(std::ofstream& out, const std::string& path) {
+  out.close();
+  if (!out) throw io_error("MatrixMarket: write to '" + path + "' failed");
+}
+
+/// Format the nonzeros among column-major positions [lo, hi) of `a`
+/// (position p is entry (p % m, p / m)) at out; return the end.
+template <typename T>
+char* format_dense_range(const DenseMatrix<T>& a, index_t lo, index_t hi,
+                         char* out) {
+  const index_t m = a.rows();
+  for (index_t p = lo; p < hi;) {
+    const index_t j = p / m;
+    const index_t i0 = p % m;
+    const index_t i1 = std::min(m, i0 + (hi - p));
+    const T* col = a.col(j);
+    for (index_t i = i0; i < i1; ++i) {
+      if (col[i] != T{0}) out = format_entry(out, i + 1, j + 1, col[i]);
+    }
+    p += i1 - i0;
+  }
+  return out;
+}
+
 }  // namespace
 
 template <typename T>
 CscMatrix<T> read_matrix_market(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line)) throw io_error("MatrixMarket: empty stream");
-  chomp(line);
+  perf::Span span("io/read");
+  LineReader reader(in);
+  std::string_view line;
+  if (!reader.next(line)) throw io_error("MatrixMarket: empty stream");
   const MmHeader h = parse_banner(line);
 
   // Skip comments and blank lines to the size line.
   do {
-    if (!std::getline(in, line)) {
+    if (!reader.next(line)) {
       throw io_error("MatrixMarket: missing size line");
     }
-    chomp(line);
-  } while (is_blank(line) || line[0] == '%');
+  } while (is_blank_or_comment(line));
 
   index_t m = 0, n = 0, nnz = 0;
   {
-    std::istringstream iss(line);
-    if (!(iss >> m >> n >> nnz) || m < 0 || n < 0 || nnz < 0) {
-      throw io_error("MatrixMarket: malformed size line: " + line);
+    std::size_t pos = 0;
+    if (!parse_index(next_token(line, pos), m) ||
+        !parse_index(next_token(line, pos), n) ||
+        !parse_index(next_token(line, pos), nnz) || m < 0 || n < 0 ||
+        nnz < 0) {
+      throw io_error("MatrixMarket: malformed size line: " + std::string(line));
     }
+  }
+  // Each (i, j) may appear once, so nnz <= m * n; checking it here keeps a
+  // garbled size line from reserving a huge COO.
+  if (nnz > 0 && (m == 0 || (nnz - 1) / m >= n)) {
+    throw io_error("MatrixMarket: size line declares more than m*n entries: " +
+                   std::string(line));
   }
 
   CooMatrix<T> coo(m, n);
-  coo.reserve(h.symmetric ? 2 * nnz : nnz);
-  for (index_t k = 0; k < nnz; ++k) {
-    if (!std::getline(in, line)) {
+  coo.reserve(h.symmetric
+                  ? 2 * std::min(nnz, std::numeric_limits<index_t>::max() / 2)
+                  : nnz);
+  for (index_t k = 0; k < nnz;) {
+    if (!reader.next(line)) {
       throw io_error("MatrixMarket: unexpected end of entries");
     }
-    chomp(line);
-    if (is_blank(line) || line[0] == '%') {
-      --k;  // tolerate stray blank/comment lines between entries
-      continue;
-    }
-    std::istringstream iss(line);
+    if (is_blank_or_comment(line)) continue;  // tolerated between entries
+    std::size_t pos = 0;
     index_t i = 0, j = 0;
-    double v = 1.0;
-    if (!(iss >> i >> j)) {
-      throw io_error("MatrixMarket: malformed entry: " + line);
+    if (!parse_index(next_token(line, pos), i) ||
+        !parse_index(next_token(line, pos), j)) {
+      throw io_error("MatrixMarket: malformed entry: " + std::string(line));
     }
-    if (!h.pattern && !(iss >> v)) {
-      throw io_error("MatrixMarket: entry missing value: " + line);
+    T v = 1;
+    if (!h.pattern) {
+      const std::string_view tok = next_token(line, pos);
+      if (tok.empty()) {
+        throw io_error("MatrixMarket: entry missing value: " + std::string(line));
+      }
+      if (!parse_value(tok, v)) {
+        throw io_error("MatrixMarket: malformed value: " + std::string(line));
+      }
     }
     if (i < 1 || i > m || j < 1 || j > n) {
-      throw io_error("MatrixMarket: entry index out of range: " + line);
+      throw io_error("MatrixMarket: entry index out of range: " +
+                     std::string(line));
     }
-    coo.push(i - 1, j - 1, static_cast<T>(v));
+    coo.push(i - 1, j - 1, v);
     if (h.symmetric && i != j) {
-      coo.push(j - 1, i - 1, static_cast<T>(h.skew ? -v : v));
+      coo.push(j - 1, i - 1, h.skew ? -v : v);
     }
+    ++k;
   }
   CscMatrix<T> csc = coo_to_csc(coo);
   // coo_to_csc sums coincident entries, so a shrunken nnz means the file
@@ -127,30 +314,83 @@ CscMatrix<T> read_matrix_market(std::istream& in) {
 
 template <typename T>
 CscMatrix<T> read_matrix_market_file(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) throw io_error("MatrixMarket: cannot open '" + path + "'");
   return read_matrix_market<T>(in);
 }
 
 template <typename T>
 void write_matrix_market(std::ostream& out, const CscMatrix<T>& a) {
-  out.precision(std::numeric_limits<T>::max_digits10);
-  out << "%%MatrixMarket matrix coordinate real general\n";
-  out << a.rows() << " " << a.cols() << " " << a.nnz() << "\n";
+  perf::Span span("io/write");
+  write_header(out, a.rows(), a.cols(), a.nnz());
+  std::vector<char> buf(kMatrixMarketWriteRound + kMaxEntryChars);
+  char* const flush_at = buf.data() + kMatrixMarketWriteRound;
+  char* p = buf.data();
   for (index_t j = 0; j < a.cols(); ++j) {
-    for (index_t p = a.col_ptr()[static_cast<std::size_t>(j)];
-         p < a.col_ptr()[static_cast<std::size_t>(j) + 1]; ++p) {
-      out << (a.row_idx()[static_cast<std::size_t>(p)] + 1) << " " << (j + 1)
-          << " " << a.values()[static_cast<std::size_t>(p)] << "\n";
+    for (index_t q = a.col_ptr()[static_cast<std::size_t>(j)];
+         q < a.col_ptr()[static_cast<std::size_t>(j) + 1]; ++q) {
+      p = format_entry(p, a.row_idx()[static_cast<std::size_t>(q)] + 1, j + 1,
+                       a.values()[static_cast<std::size_t>(q)]);
+      if (p >= flush_at) {
+        out.write(buf.data(), p - buf.data());
+        p = buf.data();
+      }
     }
   }
+  out.write(buf.data(), p - buf.data());
 }
 
 template <typename T>
 void write_matrix_market_file(const std::string& path, const CscMatrix<T>& a) {
-  std::ofstream out(path);
-  if (!out) throw io_error("MatrixMarket: cannot open '" + path + "'");
+  std::ofstream out = open_for_write(path);
   write_matrix_market(out, a);
+  close_checked(out, path);
+}
+
+template <typename T>
+void write_matrix_market_file(const std::string& path, const DenseMatrix<T>& a) {
+  perf::Span span("io/write");
+  std::ofstream out = open_for_write(path);
+  const index_t m = a.rows();
+  const index_t n = a.cols();
+  const index_t total = m * n;  // DenseMatrix::reset guards ld * n <= max
+  // Each round hands every thread the next `per_thread` positions, however
+  // many threads there are, and the buffers are written in thread order: the
+  // file is the same sequence of entries for any thread count.
+  constexpr auto per_thread =
+      static_cast<index_t>(kMatrixMarketWriteRound / kMaxEntryChars);
+  const int threads = static_cast<int>(std::clamp<index_t>(
+      ceil_div(total, per_thread), 1, static_cast<index_t>(max_threads())));
+
+  index_t nnz = 0;
+#pragma omp parallel for num_threads(threads) if (threads > 1) \
+    schedule(static) reduction(+ : nnz)
+  for (index_t j = 0; j < n; ++j) {
+    const T* col = a.col(j);
+    for (index_t i = 0; i < m; ++i) nnz += col[i] != T{0} ? 1 : 0;
+  }
+  write_header(out, m, n, nnz);
+
+  std::vector<std::vector<char>> bufs(
+      static_cast<std::size_t>(threads),
+      std::vector<char>(static_cast<std::size_t>(per_thread) * kMaxEntryChars));
+  std::vector<std::size_t> lens(static_cast<std::size_t>(threads));
+  for (index_t round = 0; round < total; round += threads * per_thread) {
+#pragma omp parallel for num_threads(threads) if (threads > 1) \
+    schedule(static, 1)
+    for (int t = 0; t < threads; ++t) {
+      const index_t lo = std::min(total, round + t * per_thread);
+      const index_t hi = std::min(total, lo + per_thread);
+      char* buf = bufs[static_cast<std::size_t>(t)].data();
+      lens[static_cast<std::size_t>(t)] =
+          static_cast<std::size_t>(format_dense_range(a, lo, hi, buf) - buf);
+    }
+    for (int t = 0; t < threads; ++t) {
+      out.write(bufs[static_cast<std::size_t>(t)].data(),
+                static_cast<std::streamsize>(lens[static_cast<std::size_t>(t)]));
+    }
+  }
+  close_checked(out, path);
 }
 
 #define RSKETCH_INSTANTIATE(T)                                       \
@@ -158,7 +398,9 @@ void write_matrix_market_file(const std::string& path, const CscMatrix<T>& a) {
   template CscMatrix<T> read_matrix_market_file<T>(const std::string&); \
   template void write_matrix_market<T>(std::ostream&, const CscMatrix<T>&); \
   template void write_matrix_market_file<T>(const std::string&,     \
-                                            const CscMatrix<T>&);
+                                            const CscMatrix<T>&);   \
+  template void write_matrix_market_file<T>(const std::string&,     \
+                                            const DenseMatrix<T>&);
 
 RSKETCH_INSTANTIATE(float)
 RSKETCH_INSTANTIATE(double)

@@ -3,17 +3,29 @@
 // real/integer/pattern, general or symmetric).
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 
+#include "dense/dense_matrix.hpp"
 #include "sparse/csc.hpp"
 
 namespace rsketch {
 
+/// The reader pulls its input in chunks of this many bytes; a line that
+/// crosses a chunk boundary is carried over into the next one. Memory is
+/// O(chunk + longest line) plus the parsed entries, never the whole file.
+inline constexpr std::size_t kMatrixMarketReadChunk = std::size_t{1} << 18;
+
+/// In each formatting round of the dense writer, every thread formats at most
+/// this many bytes of text into its own buffer.
+inline constexpr std::size_t kMatrixMarketWriteRound = std::size_t{1} << 20;
+
 /// Parse a Matrix Market coordinate stream into CSC. Supports field types
 /// real/integer/pattern (pattern entries become 1.0) and symmetry
 /// general/symmetric/skew-symmetric (mirrored entries are materialized).
-/// Throws io_error on malformed input.
+/// Throws io_error on malformed input: a token with trailing characters, a
+/// NaN/Inf or overflowing value, an out-of-range index, or a duplicate (i, j).
 template <typename T>
 CscMatrix<T> read_matrix_market(std::istream& in);
 
@@ -22,11 +34,19 @@ CscMatrix<T> read_matrix_market(std::istream& in);
 template <typename T>
 CscMatrix<T> read_matrix_market_file(const std::string& path);
 
-/// Write CSC as "matrix coordinate real general" with 1-based indices.
+/// Write CSC as "matrix coordinate real general" with 1-based indices. Values
+/// are the shortest text that reads back to the same bits.
 template <typename T>
 void write_matrix_market(std::ostream& out, const CscMatrix<T>& a);
 
 template <typename T>
 void write_matrix_market_file(const std::string& path, const CscMatrix<T>& a);
+
+/// Write the nonzeros of a dense matrix in the same format and column-major
+/// order as the CSC writer, with no sparse copy. Threads format contiguous
+/// runs of columns in rounds of kMatrixMarketWriteRound bytes each, so the
+/// bytes written do not depend on the thread count.
+template <typename T>
+void write_matrix_market_file(const std::string& path, const DenseMatrix<T>& a);
 
 }  // namespace rsketch

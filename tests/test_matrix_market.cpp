@@ -2,10 +2,19 @@
 // injection on malformed inputs.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
+#include <type_traits>
+#include <vector>
 
 #include "sparse/generate.hpp"
 #include "sparse/matrix_market.hpp"
+#include "support/parallel.hpp"
 
 namespace rsketch {
 namespace {
@@ -111,6 +120,194 @@ TEST(MatrixMarket, MalformedInputsThrow) {
   EXPECT_THROW(
       parse("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n"),
       io_error);  // missing value for real field
+  EXPECT_THROW(
+      parse("%%MatrixMarket matrix coordinate real general\n2 2 5\n1 1 1\n"),
+      io_error);  // more entries declared than m*n
+  // A value token must be a finite decimal number from end to end.
+  for (const char* tok : {"0x1p3", "2.5abc", "nan", "inf", "-inf", "1e400",
+                          "+-1", "1e"}) {
+    EXPECT_THROW(parse(std::string("%%MatrixMarket matrix coordinate real "
+                                   "general\n2 2 1\n1 1 ") +
+                       tok + "\n"),
+                 io_error)
+        << tok;
+  }
+}
+
+TEST(MatrixMarket, ValueTokensIstreamAlwaysAccepted) {
+  // Leading '+', bare '.', underflow to zero and trailing extra tokens all
+  // parsed through istream >> double and still do.
+  std::stringstream ss(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "2 3 5\n"
+      "+1 1 +2.5\n"
+      "2 1 1.\n"
+      "1 2 .5 extra tokens\n"
+      "2 2 1e-400\n"
+      "1 3 -4.9e-324\n");
+  const auto a = read_matrix_market<double>(ss);
+  ASSERT_EQ(a.nnz(), 5);
+  EXPECT_EQ(a.at(0, 0), 2.5);
+  EXPECT_EQ(a.at(1, 0), 1.0);
+  EXPECT_EQ(a.at(0, 1), 0.5);
+  EXPECT_EQ(a.at(1, 1), 0.0);
+  EXPECT_EQ(a.at(0, 2), -std::numeric_limits<double>::denorm_min());
+}
+
+/// Values that need every significant digit, subnormals, the extremes and
+/// negatives, plus a spread of random finite bit patterns.
+template <typename T>
+std::vector<T> hard_values() {
+  using L = std::numeric_limits<T>;
+  std::vector<T> v = {T(0.1) + T(0.2),  T(1) / T(3),     std::nextafter(T(1), T(2)),
+                      L::denorm_min(),   L::min() / T(3), L::min(),
+                      L::max(),          L::lowest(),     -L::denorm_min(),
+                      T(-1e-5),          T(123456789),    T(-2.5)};
+  using Bits = std::conditional_t<sizeof(T) == 8, std::uint64_t, std::uint32_t>;
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  while (v.size() < 500) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    const auto bits = static_cast<Bits>(state >> (64 - 8 * sizeof(T)));
+    T x;
+    std::memcpy(&x, &bits, sizeof x);
+    if (std::isfinite(x) && x != T(0)) v.push_back(x);
+  }
+  return v;
+}
+
+template <typename T>
+void expect_bit_exact_round_trip() {
+  const std::vector<T> vals = hard_values<T>();
+  const auto m = static_cast<index_t>(vals.size());
+  std::vector<index_t> col_ptr = {0, m};
+  std::vector<index_t> row_idx(vals.size());
+  for (index_t i = 0; i < m; ++i) row_idx[static_cast<std::size_t>(i)] = i;
+  const CscMatrix<T> a(m, 1, col_ptr, row_idx, vals);
+  std::stringstream ss;
+  write_matrix_market(ss, a);
+  const auto b = read_matrix_market<T>(ss);
+  ASSERT_EQ(b.nnz(), a.nnz());
+  EXPECT_EQ(b.row_idx(), a.row_idx());
+  EXPECT_EQ(std::memcmp(b.values().data(), a.values().data(),
+                        vals.size() * sizeof(T)),
+            0);
+}
+
+TEST(MatrixMarket, RoundTripIsBitExactDouble) {
+  expect_bit_exact_round_trip<double>();
+}
+
+TEST(MatrixMarket, RoundTripIsBitExactFloat) {
+  expect_bit_exact_round_trip<float>();
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Dense m x n with a third of the entries zero and the rest random doubles.
+DenseMatrix<double> dense_with_zeros(index_t m, index_t n) {
+  DenseMatrix<double> d(m, n);
+  const auto a = random_sparse<double>(m, n, 0.67, 5);
+  for (index_t j = 0; j < n; ++j) {
+    for (index_t p = a.col_ptr()[j]; p < a.col_ptr()[j + 1]; ++p) {
+      d(a.row_idx()[p], j) = a.values()[p];
+    }
+  }
+  return d;
+}
+
+TEST(MatrixMarket, DenseAndCscWritersGiveIdenticalFiles) {
+  const DenseMatrix<double> d = dense_with_zeros(37, 23);
+  std::vector<index_t> col_ptr = {0}, row_idx;
+  std::vector<double> vals;
+  for (index_t j = 0; j < d.cols(); ++j) {
+    for (index_t i = 0; i < d.rows(); ++i) {
+      if (d(i, j) != 0.0) {
+        row_idx.push_back(i);
+        vals.push_back(d(i, j));
+      }
+    }
+    col_ptr.push_back(static_cast<index_t>(vals.size()));
+  }
+  ASSERT_LT(vals.size(), static_cast<std::size_t>(d.rows() * d.cols()));
+  const CscMatrix<double> a(d.rows(), d.cols(), col_ptr, row_idx, vals);
+  const std::string dense_path = ::testing::TempDir() + "/rsketch_dense.mtx";
+  const std::string csc_path = ::testing::TempDir() + "/rsketch_csc.mtx";
+  write_matrix_market_file(dense_path, d);
+  write_matrix_market_file(csc_path, a);
+  EXPECT_EQ(slurp(dense_path), slurp(csc_path));
+}
+
+TEST(MatrixMarket, DenseWriterBytesIndependentOfThreadCount) {
+  const DenseMatrix<double> d = dense_with_zeros(403, 700);
+  const std::string path = ::testing::TempDir() + "/rsketch_dense_t.mtx";
+  std::string one, four;
+  {
+    ThreadCountGuard guard(1);
+    write_matrix_market_file(path, d);
+    one = slurp(path);
+  }
+  {
+    ThreadCountGuard guard(4);
+    write_matrix_market_file(path, d);
+    four = slurp(path);
+  }
+  // Each round formats at most 4 x kMatrixMarketWriteRound bytes at four
+  // threads, so this file took several rounds at either count.
+  EXPECT_GT(one.size(), 4 * kMatrixMarketWriteRound);
+  EXPECT_TRUE(one == four);
+  const auto back = read_matrix_market_file<double>(path);
+  DenseMatrix<double> scattered(back.rows(), back.cols());
+  for (index_t j = 0; j < back.cols(); ++j) {
+    for (index_t p = back.col_ptr()[j]; p < back.col_ptr()[j + 1]; ++p) {
+      scattered(back.row_idx()[p], j) = back.values()[p];
+    }
+  }
+  EXPECT_EQ(scattered.max_abs_diff(d), 0.0);
+}
+
+TEST(MatrixMarket, ChunkStraddlingInputParsesFromStreamAndFile) {
+  const index_t m = 200, n = 250;
+  std::string text =
+      "%%MatrixMarket matrix coordinate real general\n" + std::to_string(m) +
+      " " + std::to_string(n) + " " + std::to_string(m * n) + "\n";
+  // Pad with a comment so that the first entry starts 6 bytes before the
+  // end of the first chunk and straddles it.
+  text += "%" + std::string(kMatrixMarketReadChunk - 6 - text.size() - 2, 'p') +
+          "\n";
+  ASSERT_EQ(text.size(), kMatrixMarketReadChunk - 6);
+  std::ostringstream entries;
+  entries.precision(17);
+  for (index_t j = 0; j < n; ++j) {
+    for (index_t i = 0; i < m; ++i) {
+      if (j == n / 2 && i == 0) {
+        // A line longer than a whole chunk makes the reader grow its buffer.
+        entries << "% " << std::string(kMatrixMarketReadChunk + 10, 'q') << "\n";
+      }
+      entries << i + 1 << " " << j + 1 << " " << 0.125 + 1.0 / (1 + i + m * j)
+              << "\n";
+    }
+  }
+  text += entries.str();
+  ASSERT_GT(text.size(), 3 * kMatrixMarketReadChunk);
+
+  std::istringstream is(text);
+  const auto from_stream = read_matrix_market<double>(is);
+  const std::string path = ::testing::TempDir() + "/rsketch_chunks.mtx";
+  std::ofstream(path, std::ios::binary) << text;
+  const auto from_file = read_matrix_market_file<double>(path);
+
+  ASSERT_EQ(from_stream.nnz(), m * n);
+  EXPECT_EQ(from_stream.at(0, 0), 0.125 + 1.0);  // the straddling line
+  EXPECT_EQ(from_stream.at(m - 1, n - 1), 0.125 + 1.0 / (m * n));
+  EXPECT_EQ(from_file.col_ptr(), from_stream.col_ptr());
+  EXPECT_EQ(from_file.row_idx(), from_stream.row_idx());
+  EXPECT_EQ(std::memcmp(from_file.values().data(), from_stream.values().data(),
+                        from_stream.values().size() * sizeof(double)),
+            0);
 }
 
 TEST(MatrixMarket, CrlfLineEndingsParse) {

@@ -5,6 +5,7 @@
 #include <omp.h>
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 
 #include "perf/json.hpp"
@@ -13,6 +14,7 @@
 #include "perf/report.hpp"
 #include "sketch/sketch.hpp"
 #include "sparse/generate.hpp"
+#include "sparse/matrix_market.hpp"
 #include "support/timer.hpp"
 
 namespace rsketch {
@@ -181,6 +183,23 @@ TEST(PerfCore, SpanRecordsElapsedWallClock) {
 // off (Table III's code path), and the formulas must agree exactly with the
 // sampler's own fill accounting: Alg. 3 regenerates d entries of S per
 // nonzero, Alg. 4 one column of S per nonempty row per row-block.
+// Matrix Market I/O carries its own spans, so a CLI report attributes the
+// read and the output write instead of leaving them unexplained.
+TEST(PerfCore, MatrixMarketIoRecordsSpans) {
+  PerfToggle toggle(true);
+  const auto a = random_sparse<double>(30, 20, 0.2, 9);
+  std::stringstream ss;
+  write_matrix_market(ss, a);
+  (void)read_matrix_market<double>(ss);
+  write_matrix_market_file(::testing::TempDir() + "/rsketch_perf_io.mtx",
+                           DenseMatrix<double>(4, 3));
+  const auto snap = perf::snapshot();
+  ASSERT_EQ(snap.spans.count("io/read"), 1u);
+  ASSERT_EQ(snap.spans.count("io/write"), 1u);
+  EXPECT_EQ(snap.spans.at("io/read").count, 1u);
+  EXPECT_EQ(snap.spans.at("io/write").count, 2u);  // CSC + dense writer
+}
+
 TEST(PerfKernels, KjiCountersMatchSamplerAccounting) {
   PerfToggle toggle(false);
   const auto a = random_sparse<double>(300, 80, 0.05, 7);
