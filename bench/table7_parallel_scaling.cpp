@@ -183,9 +183,7 @@ int main() {
         "serial time. Measured imbalance (max/mean thread busy; needs "
         "RSKETCH_PERF=1 or RSKETCH_TRACE) stays near 1 under the balanced "
         "LPT schedule and grows under uniform; 'bal est' is the cost "
-        "model's predicted max/mean for the balanced partition. "
-        "RSKETCH_JKI_SCHEDULE is a deprecated alias of RSKETCH_SCHEDULE "
-        "(static -> uniform, dynamic -> balanced).");
+        "model's predicted max/mean for the balanced partition.");
     std::printf("%s\n", skewt.render().c_str());
   }
 

@@ -27,6 +27,25 @@ struct KernelCounters {
   std::uint64_t bytes_generated = 0;  ///< bytes of S produced (never stored)
   std::uint64_t kernel_blocks = 0;    ///< kernel invocations (outer block pairs)
 
+  /// Charge one outer block of a sketch kernel: `columns` regenerated
+  /// d1-long columns of S and `nnz` consumed stored entries of A, each
+  /// reading its value and one 64-bit index and updating d1 elements of the
+  /// output (read + write), plus `index_bytes` of structure walked on top
+  /// (row or column pointers; 0 when none).
+  template <typename T>
+  void add_block(std::uint64_t columns, std::uint64_t nnz, std::uint64_t d1,
+                 std::uint64_t index_bytes) {
+    rng_samples += columns * d1;
+    nnz_processed += nnz;
+    flops += 2 * nnz * d1;
+    elems_moved += nnz * (2 * d1 + 1);
+    bytes_moved +=
+        nnz * (2 * d1 * sizeof(T) + sizeof(T) + sizeof(std::int64_t)) +
+        index_bytes;
+    bytes_generated += columns * d1 * sizeof(T);
+    kernel_blocks += 1;
+  }
+
   void merge(const KernelCounters& o) {
     rng_samples += o.rng_samples;
     nnz_processed += o.nnz_processed;

@@ -159,13 +159,6 @@ struct SketchStats {
   /// (0 = ran with the requested configuration). Each step is also visible
   /// as a run_control/degrade perf span. See docs/ROBUSTNESS.md.
   std::uint64_t degradations = 0;
-  /// Stops observed by this stats object's run-control scope. On a stopped
-  /// run the call throws instead of returning stats, so these are nonzero
-  /// only in aggregates assembled from the global perf counters
-  /// (run_cancelled / run_deadline_hits in BENCH_* reports); they are kept
-  /// here so SketchStats mirrors the full observability surface.
-  std::uint64_t cancelled = 0;
-  std::uint64_t deadline_hits = 0;
 
   /// Software work/traffic counters, populated when the run is instrumented
   /// or RSKETCH_PERF is on (all-zero otherwise). See perf/counters.hpp.

@@ -10,8 +10,7 @@ namespace rsketch {
 template <typename T>
 void kernel_jki(DenseMatrix<T>& a_hat, index_t i0, index_t d1,
                 const typename BlockedCsr<T>::Block& blk,
-                SketchSampler<T>& sampler, T* v, AccumTimer* sample_timer,
-                perf::KernelCounters* counters) {
+                SketchSampler<T>& sampler, T* v, AccumTimer* sample_timer) {
   // One trace slice per outer (i-block, vertical-block) pair — coarse enough
   // that tracing never intrudes on the nonzero loop below.
   static const std::uint32_t trace_id = perf::trace::intern("kernel_jki/block");
@@ -53,38 +52,14 @@ void kernel_jki(DenseMatrix<T>& a_hat, index_t i0, index_t d1,
       p += jam;
     }
   }
-
-  if (counters != nullptr) {
-    // Exact per-block accounting from metadata the blocked-CSR conversion
-    // precomputed (Block::nonempty_rows / Block::nnz) — no structure walk
-    // here, and the hot loop above carries no counter updates. One
-    // regenerated column of S serves every nonzero of its row (the
-    // sample-reuse advantage of Algorithm 4); each nonzero still moves d1
-    // elements of Â twice plus its own value and column index, and the
-    // row-pointer walk touches m+1 indices.
-    const std::uint64_t nonempty_rows =
-        static_cast<std::uint64_t>(blk.nonempty_rows);
-    const std::uint64_t nnz = static_cast<std::uint64_t>(blk.nnz);
-    const std::uint64_t du = static_cast<std::uint64_t>(d1);
-    counters->rng_samples += nonempty_rows * du;
-    counters->nnz_processed += nnz;
-    counters->flops += 2 * nnz * du;
-    counters->elems_moved += nnz * (2 * du + 1);
-    counters->bytes_moved +=
-        nnz * (2 * du * sizeof(T) + sizeof(T) + sizeof(index_t)) +
-        (static_cast<std::uint64_t>(m) + 1) * sizeof(index_t);
-    counters->bytes_generated += nonempty_rows * du * sizeof(T);
-    counters->kernel_blocks += 1;
-  }
 }
 
 template void kernel_jki<float>(DenseMatrix<float>&, index_t, index_t,
                                 const BlockedCsr<float>::Block&,
-                                SketchSampler<float>&, float*, AccumTimer*,
-                                perf::KernelCounters*);
+                                SketchSampler<float>&, float*, AccumTimer*);
 template void kernel_jki<double>(DenseMatrix<double>&, index_t, index_t,
                                  const BlockedCsr<double>::Block&,
-                                 SketchSampler<double>&, double*, AccumTimer*,
-                                 perf::KernelCounters*);
+                                 SketchSampler<double>&, double*,
+                                 AccumTimer*);
 
 }  // namespace rsketch

@@ -10,7 +10,6 @@
 #pragma once
 
 #include "dense/dense_matrix.hpp"
-#include "perf/counters.hpp"
 #include "rng/distributions.hpp"
 #include "sparse/blocked_csr.hpp"
 #include "support/timer.hpp"
@@ -18,23 +17,12 @@
 namespace rsketch {
 
 /// Apply the jki kernel for row block [i0, i0+d1) of Â against one vertical
-/// block of A. `v` is caller scratch of at least d1 elements. When
-/// `counters` is non-null the block's work/traffic totals are accumulated
-/// into it (computed outside the nonzero loop; zero hot-path cost when null).
+/// block of A. `v` is caller scratch of at least d1 elements. Sample timing
+/// as in kernel_kji; work counters are taken per block by the outer driver.
 template <typename T>
 void kernel_jki(DenseMatrix<T>& a_hat, index_t i0, index_t d1,
                 const typename BlockedCsr<T>::Block& blk,
                 SketchSampler<T>& sampler, T* v,
-                AccumTimer* sample_timer = nullptr,
-                perf::KernelCounters* counters = nullptr);
-
-extern template void kernel_jki<float>(DenseMatrix<float>&, index_t, index_t,
-                                       const BlockedCsr<float>::Block&,
-                                       SketchSampler<float>&, float*,
-                                       AccumTimer*, perf::KernelCounters*);
-extern template void kernel_jki<double>(DenseMatrix<double>&, index_t, index_t,
-                                        const BlockedCsr<double>::Block&,
-                                        SketchSampler<double>&, double*,
-                                        AccumTimer*, perf::KernelCounters*);
+                AccumTimer* sample_timer = nullptr);
 
 }  // namespace rsketch

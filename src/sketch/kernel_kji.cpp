@@ -8,8 +8,7 @@ namespace rsketch {
 template <typename T>
 void kernel_kji(DenseMatrix<T>& a_hat, index_t i0, index_t d1, index_t j0,
                 index_t n1, const CscMatrix<T>& a, SketchSampler<T>& sampler,
-                T* v, AccumTimer* sample_timer,
-                perf::KernelCounters* counters) {
+                T* v, AccumTimer* sample_timer) {
   // One trace slice per outer (i-block, j-block) pair — coarse enough that
   // tracing never intrudes on the nonzero loop below.
   static const std::uint32_t trace_id = perf::trace::intern("kernel_kji/block");
@@ -45,34 +44,14 @@ void kernel_kji(DenseMatrix<T>& a_hat, index_t i0, index_t d1, index_t j0,
       }
     }
   }
-
-  if (counters != nullptr) {
-    // Exact per-block accounting from the CSC structure alone — the nonzero
-    // loop above carries no counter updates. Per nonzero: one value + one
-    // row index of A read, d1 elements of Â read and written (axpy), d1
-    // entries of S regenerated.
-    const std::uint64_t nnz = static_cast<std::uint64_t>(
-        col_ptr[static_cast<std::size_t>(j0 + n1)] -
-        col_ptr[static_cast<std::size_t>(j0)]);
-    const std::uint64_t du = static_cast<std::uint64_t>(d1);
-    counters->rng_samples += nnz * du;
-    counters->nnz_processed += nnz;
-    counters->flops += 2 * nnz * du;
-    counters->elems_moved += nnz * (2 * du + 1);
-    counters->bytes_moved +=
-        nnz * (2 * du * sizeof(T) + sizeof(T) + sizeof(index_t));
-    counters->bytes_generated += nnz * du * sizeof(T);
-    counters->kernel_blocks += 1;
-  }
 }
 
 template void kernel_kji<float>(DenseMatrix<float>&, index_t, index_t, index_t,
                                 index_t, const CscMatrix<float>&,
-                                SketchSampler<float>&, float*, AccumTimer*,
-                                perf::KernelCounters*);
+                                SketchSampler<float>&, float*, AccumTimer*);
 template void kernel_kji<double>(DenseMatrix<double>&, index_t, index_t,
                                  index_t, index_t, const CscMatrix<double>&,
-                                 SketchSampler<double>&, double*, AccumTimer*,
-                                 perf::KernelCounters*);
+                                 SketchSampler<double>&, double*,
+                                 AccumTimer*);
 
 }  // namespace rsketch

@@ -11,7 +11,6 @@
 #pragma once
 
 #include "dense/dense_matrix.hpp"
-#include "perf/counters.hpp"
 #include "rng/distributions.hpp"
 #include "sparse/csc.hpp"
 #include "support/timer.hpp"
@@ -21,24 +20,11 @@ namespace rsketch {
 /// Apply the kji kernel to one outer block. `v` is caller-provided scratch
 /// of at least d1 elements (one per thread). When `sample_timer` is non-null
 /// every sampler fill is bracketed with it (adds the timer overhead the
-/// paper notes for Tables III/V). When `counters` is non-null the block's
-/// work/traffic totals are accumulated into it (computed outside the nonzero
-/// loop; zero hot-path cost when null).
+/// paper notes for Tables III/V). Work counters are taken per block by the
+/// outer driver, so the nonzero loop carries none.
 template <typename T>
 void kernel_kji(DenseMatrix<T>& a_hat, index_t i0, index_t d1, index_t j0,
                 index_t n1, const CscMatrix<T>& a, SketchSampler<T>& sampler,
-                T* v, AccumTimer* sample_timer = nullptr,
-                perf::KernelCounters* counters = nullptr);
-
-extern template void kernel_kji<float>(DenseMatrix<float>&, index_t, index_t,
-                                       index_t, index_t,
-                                       const CscMatrix<float>&,
-                                       SketchSampler<float>&, float*,
-                                       AccumTimer*, perf::KernelCounters*);
-extern template void kernel_kji<double>(DenseMatrix<double>&, index_t, index_t,
-                                        index_t, index_t,
-                                        const CscMatrix<double>&,
-                                        SketchSampler<double>&, double*,
-                                        AccumTimer*, perf::KernelCounters*);
+                T* v, AccumTimer* sample_timer = nullptr);
 
 }  // namespace rsketch

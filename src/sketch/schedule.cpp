@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <mutex>
 #include <numeric>
@@ -32,8 +31,7 @@ bool parse_schedule_mode(const std::string& s, ScheduleMode& out) {
 }
 
 ScheduleMode resolve_schedule_mode(ScheduleMode requested,
-                                   const std::string& env_value,
-                                   const std::string& legacy_value) {
+                                   const std::string& env_value) {
   if (requested != ScheduleMode::Auto) return requested;
   if (!env_value.empty()) {
     ScheduleMode m = ScheduleMode::Auto;
@@ -44,30 +42,13 @@ ScheduleMode resolve_schedule_mode(ScheduleMode requested,
       return m;
     }
   }
-  if (!legacy_value.empty()) {
-    // Pre-scheduler knob (jki-only): static pinned i-blocks to threads,
-    // dynamic let them float. Uniform reproduces the naive pinning the
-    // imbalance experiments rely on; everything else gets the balancer.
-    static std::once_flag warned;
-    std::call_once(warned, [&] {
-      std::fprintf(stderr,
-                   "rsketch: RSKETCH_JKI_SCHEDULE is deprecated; use "
-                   "RSKETCH_SCHEDULE=uniform|balanced (mapping '%s' -> %s)\n",
-                   legacy_value.c_str(),
-                   legacy_value == "static" ? "uniform" : "balanced");
-    });
-    if (legacy_value == "static") return ScheduleMode::Uniform;
-    return ScheduleMode::Balanced;
-  }
   return ScheduleMode::Balanced;
 }
 
 ScheduleMode resolve_schedule_mode(ScheduleMode requested) {
   if (requested != ScheduleMode::Auto) return requested;
-  static const ScheduleMode from_env =
-      resolve_schedule_mode(ScheduleMode::Auto,
-                            env_string("RSKETCH_SCHEDULE", ""),
-                            env_string("RSKETCH_JKI_SCHEDULE", ""));
+  static const ScheduleMode from_env = resolve_schedule_mode(
+      ScheduleMode::Auto, env_string("RSKETCH_SCHEDULE", ""));
   return from_env;
 }
 
@@ -148,77 +129,6 @@ BlockSchedule build_balanced_schedule(const std::vector<double>& costs,
   return s;
 }
 
-template <typename T>
-std::vector<double> kji_item_costs(const CscMatrix<T>& a, index_t d,
-                                   index_t bd, index_t bn, ParallelOver mode,
-                                   double rng_cost) {
-  const index_t n = a.cols();
-  const index_t n_i = d == 0 ? 0 : ceil_div(d, bd);
-  const index_t n_j = n == 0 ? 0 : ceil_div(n, bn);
-  const auto& col_ptr = a.col_ptr();
-  std::vector<double> out;
-  if (mode == ParallelOver::NBlocks) {
-    out.resize(static_cast<std::size_t>(n_j));
-    for (index_t jb = 0; jb < n_j; ++jb) {
-      const index_t j0 = jb * bn;
-      const index_t n1 = std::min(bn, n - j0);
-      const double nnz = static_cast<double>(
-          col_ptr[static_cast<std::size_t>(j0 + n1)] -
-          col_ptr[static_cast<std::size_t>(j0)]);
-      const double dd = static_cast<double>(d);
-      out[static_cast<std::size_t>(jb)] =
-          dd * static_cast<double>(n1) + (rng_cost + 2.0) * dd * nnz;
-    }
-    return out;
-  }
-  out.resize(static_cast<std::size_t>(n_i * n_j));
-  for (index_t jb = 0; jb < n_j; ++jb) {
-    const index_t j0 = jb * bn;
-    const index_t n1 = std::min(bn, n - j0);
-    const double nnz = static_cast<double>(
-        col_ptr[static_cast<std::size_t>(j0 + n1)] -
-        col_ptr[static_cast<std::size_t>(j0)]);
-    for (index_t ib = 0; ib < n_i; ++ib) {
-      const double d1 = static_cast<double>(std::min(bd, d - ib * bd));
-      out[static_cast<std::size_t>(jb * n_i + ib)] =
-          d1 * static_cast<double>(n1) + (rng_cost + 2.0) * d1 * nnz;
-    }
-  }
-  return out;
-}
-
-template <typename T>
-std::vector<double> jki_item_costs(const BlockedCsr<T>& ab, index_t d,
-                                   index_t bd, ParallelOver mode,
-                                   double rng_cost) {
-  const index_t n_i = d == 0 ? 0 : ceil_div(d, bd);
-  const index_t n_j = ab.num_blocks();
-  std::vector<double> out;
-  if (mode == ParallelOver::NBlocks) {
-    out.resize(static_cast<std::size_t>(n_j));
-    for (index_t jb = 0; jb < n_j; ++jb) {
-      const double dd = static_cast<double>(d);
-      out[static_cast<std::size_t>(jb)] =
-          dd * static_cast<double>(ab.block_width(jb)) +
-          rng_cost * dd * static_cast<double>(ab.block_nonempty_rows(jb)) +
-          2.0 * dd * static_cast<double>(ab.block_nnz(jb));
-    }
-    return out;
-  }
-  out.resize(static_cast<std::size_t>(n_i * n_j));
-  for (index_t jb = 0; jb < n_j; ++jb) {
-    const double width = static_cast<double>(ab.block_width(jb));
-    const double ner = static_cast<double>(ab.block_nonempty_rows(jb));
-    const double nnz = static_cast<double>(ab.block_nnz(jb));
-    for (index_t ib = 0; ib < n_i; ++ib) {
-      const double d1 = static_cast<double>(std::min(bd, d - ib * bd));
-      out[static_cast<std::size_t>(jb * n_i + ib)] =
-          d1 * width + rng_cost * d1 * ner + 2.0 * d1 * nnz;
-    }
-  }
-  return out;
-}
-
 BlockSchedule build_block_schedule(
     ScheduleMode resolved, int nthreads, index_t n_items,
     const std::function<std::vector<double>()>& costs) {
@@ -244,18 +154,5 @@ BlockSchedule build_block_schedule(
   }
   return s;
 }
-
-template std::vector<double> kji_item_costs<float>(const CscMatrix<float>&,
-                                                   index_t, index_t, index_t,
-                                                   ParallelOver, double);
-template std::vector<double> kji_item_costs<double>(const CscMatrix<double>&,
-                                                    index_t, index_t, index_t,
-                                                    ParallelOver, double);
-template std::vector<double> jki_item_costs<float>(const BlockedCsr<float>&,
-                                                   index_t, index_t,
-                                                   ParallelOver, double);
-template std::vector<double> jki_item_costs<double>(const BlockedCsr<double>&,
-                                                    index_t, index_t,
-                                                    ParallelOver, double);
 
 }  // namespace rsketch

@@ -19,8 +19,6 @@
 #include <vector>
 
 #include "sketch/config.hpp"
-#include "sparse/blocked_csr.hpp"
-#include "sparse/csc.hpp"
 #include "support/common.hpp"
 
 namespace rsketch {
@@ -42,13 +40,11 @@ struct BlockSchedule {
 /// Parse "auto" / "uniform" / "balanced" into `out`; false on anything else.
 bool parse_schedule_mode(const std::string& s, ScheduleMode& out);
 
-/// Resolve Auto using explicit env strings (pure; for tests). Precedence:
-/// non-Auto `requested` wins; then RSKETCH_SCHEDULE (`env_value`); then the
-/// deprecated RSKETCH_JKI_SCHEDULE alias (`legacy_value`, static → Uniform,
-/// dynamic → Balanced, warned once); then Balanced — the default is on.
+/// Resolve Auto using an explicit env string (pure; for tests). Precedence:
+/// non-Auto `requested` wins; then RSKETCH_SCHEDULE (`env_value`); then
+/// Balanced — the default is on.
 ScheduleMode resolve_schedule_mode(ScheduleMode requested,
-                                   const std::string& env_value,
-                                   const std::string& legacy_value);
+                                   const std::string& env_value);
 
 /// Resolve Auto through the process environment (cached after first read).
 ScheduleMode resolve_schedule_mode(ScheduleMode requested);
@@ -68,25 +64,6 @@ BlockSchedule build_uniform_schedule(index_t n_items, int nthreads);
 /// by the classic Graham bound.
 BlockSchedule build_balanced_schedule(const std::vector<double>& costs,
                                       int nthreads);
-
-/// Per-item cost vectors for the estimator. DBlocks items are (jb, ib) pairs
-/// flattened jb-major (id = jb·n_iblocks + ib); NBlocks items are whole
-/// j-block column slabs (id = jb). Units are element-traffic equivalents:
-/// first-touch stores of the output panel, rng_cost per generated sample,
-/// and 2 per flop-pair touched.
-/// kji (Alg. 3): regenerates a d1-column of S per nonzero of the slab —
-///   cost = d1·n1 + rng_cost·d1·nnz + 2·d1·nnz.
-template <typename T>
-std::vector<double> kji_item_costs(const CscMatrix<T>& a, index_t d,
-                                   index_t bd, index_t bn, ParallelOver mode,
-                                   double rng_cost);
-/// jki (Alg. 4): regenerates one column per nonempty row of the slab and
-///   reuses it across the row — cost = d1·width + rng_cost·d1·nonempty_rows
-///   + 2·d1·nnz.
-template <typename T>
-std::vector<double> jki_item_costs(const BlockedCsr<T>& ab, index_t d,
-                                   index_t bd, ParallelOver mode,
-                                   double rng_cost);
 
 /// Build the schedule for one kernel invocation: resolves nothing (pass the
 /// resolved mode), times the build under the "schedule/build" span, bumps

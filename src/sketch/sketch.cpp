@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "dense/blas1.hpp"
 #include "perf/perf.hpp"
 #include "support/aligned_buffer.hpp"
 #include "support/arena.hpp"
+#include "sketch/frame.hpp"
 #include "sketch/outer_blocking.hpp"
 #include "sketch/tuner.hpp"
 #include "sparse/validate.hpp"
@@ -115,8 +117,13 @@ void apply_post_scale(const SketchConfig& cfg, DenseMatrix<T>& a_hat) {
   for (index_t j = 0; j < a_hat.cols(); ++j) scal(a_hat.rows(), s, a_hat.col(j));
 }
 
-/// Kernel dispatch shared by the unarmed fast path and the staged
-/// run-controlled path. `out` must already be d × n.
+template <typename T>
+void apply_post_scale(const SketchConfig& cfg, std::vector<T>& b) {
+  const T s = sketch_post_scale<T>(cfg);
+  if (s != T{1}) scal(static_cast<index_t>(b.size()), s, b.data());
+}
+
+/// Kernel dispatch of sketch_into's body. `out` must already be d × n.
 template <typename T>
 SketchStats sketch_dispatch(const SketchConfig& cfg, const CscMatrix<T>& a,
                             DenseMatrix<T>& out, bool instrument,
@@ -163,7 +170,6 @@ std::uint64_t apply_budget_ladder(SketchConfig& eff, const CscMatrix<T>& a,
   };
   if (estimate() <= run.remaining_bytes()) return 0;
   if (eff.on_pressure == OnPressure::Fail) {
-    perf::add(perf::Counter::RunBudgetHits, 1);
     throw run_stopped_error(
         StopCause::BudgetExceeded,
         "sketch_into: workspace estimate of " + std::to_string(estimate()) +
@@ -199,7 +205,6 @@ std::uint64_t apply_budget_ladder(SketchConfig& eff, const CscMatrix<T>& a,
       eff.block_d = (eff.block_d + 1) / 2;
       step("halve_block_d");
     } else {
-      perf::add(perf::Counter::RunBudgetHits, 1);
       throw run_stopped_error(
           StopCause::BudgetExceeded,
           "sketch_into: degradation ladder exhausted after " +
@@ -214,64 +219,70 @@ std::uint64_t apply_budget_ladder(SketchConfig& eff, const CscMatrix<T>& a,
 
 }  // namespace
 
+template <typename Out>
+SketchStats sketch_frame(const SketchConfig& cfg, Out& out,
+                         const SketchFrame<Out>& steps) {
+  cfg.validate(steps.rows, steps.cols);
+  if (cfg.check_inputs) {
+    perf::Span span("validate_inputs");
+    steps.check();
+  }
+  const SketchConfig eff =
+      cfg.tune != TuneMode::Off && steps.tune ? steps.tune(cfg) : cfg;
+  ResolvedRunControl rrc(eff.control, eff.deadline_ms,
+                         eff.workspace_budget_bytes);
+  RunControl* const run = rrc.get();
+  // Unarmed: the body writes the caller's output in place. Armed: it writes
+  // a private staging buffer that replaces `out` only once the whole call
+  // succeeded.
+  Out staging;
+  Out& target = run == nullptr ? out : staging;
+  try {
+    if (run != nullptr) run->poll();
+    // Staged before the budget scope installs (the budget bounds workspace,
+    // not the result) and before the arena scope (the output escapes to the
+    // caller, so it must not be arena-backed). The arena scope is
+    // thread-local, so OMP workers still allocate off the plain heap.
+    steps.stage(target);
+    SketchStats stats;
+    {
+      ScopedBudgetScope budget(run);
+      ScopedArenaScope arena(eff.arena);
+      stats = steps.body(eff, target, run);
+    }
+    apply_post_scale(eff, target);
+    if (run != nullptr) {
+      run->poll();
+      out = std::move(staging);
+    }
+    return stats;
+  } catch (const run_stopped_error& e) {
+    count_stop(e.cause());
+    throw;
+  }
+}
+
 template <typename T>
 SketchStats sketch_into(const SketchConfig& cfg, const CscMatrix<T>& a,
                         DenseMatrix<T>& a_hat, bool instrument) {
-  if (cfg.tune != TuneMode::Off) {
-    // Resolve (kernel, blocks, backend) through the tuner, then dispatch the
-    // effective config — which carries tune == Off, so this recurses once.
-    const SketchConfig effective = resolve_tuning(cfg, a);
-    return sketch_into(effective, a, a_hat, instrument);
-  }
-  cfg.validate(a.rows(), a.cols());
-  if (cfg.check_inputs) {
-    perf::Span span("validate_inputs");
-    require_valid(a);
-  }
-
-  ResolvedRunControl rrc(cfg.control, cfg.deadline_ms,
-                         cfg.workspace_budget_bytes);
-  RunControl* const run = rrc.get();
-  if (run == nullptr) {
-    // Unarmed fast path: identical to the uncontrolled library since the
-    // beginning — no staging copy, no polling, no charges.
-    if (a_hat.rows() != cfg.d || a_hat.cols() != a.cols()) {
-      a_hat.reset(cfg.d, a.cols());
-    }
-    SketchStats stats;
-    {
-      // Arena scope covers ONLY the kernel dispatch: the output was sized
-      // above, outside it, because it escapes to the caller and must not be
-      // arena-backed. The scope is thread-local, so OMP workers spawned
-      // inside still allocate off the plain heap.
-      ScopedArenaScope arena(cfg.arena);
-      stats = sketch_dispatch(cfg, a, a_hat, instrument, nullptr);
-    }
-    apply_post_scale(cfg, a_hat);
-    return stats;
-  }
-
-  run->poll();
-  SketchConfig eff = cfg;
-  const std::uint64_t degradations = apply_budget_ladder(eff, a, *run);
-
-  // Clean-throw staging: the output buffer is allocated before the budget
-  // scope installs (the budget bounds workspace, not the result) and is
-  // moved over a_hat only once the whole sketch succeeded, so a stopped run
-  // leaves a_hat exactly as the caller passed it. It is likewise allocated
-  // before the arena scope — it outlives any batch arena.
-  DenseMatrix<T> staging(cfg.d, a.cols());
-  SketchStats stats;
-  {
-    ScopedBudgetScope scope(run);
-    ScopedArenaScope arena(cfg.arena);
-    stats = sketch_dispatch(eff, a, staging, instrument, run);
-  }
-  apply_post_scale(eff, staging);
-  run->poll();
-  a_hat = std::move(staging);
-  stats.degradations = degradations;
-  return stats;
+  return sketch_frame<DenseMatrix<T>>(
+      cfg, a_hat,
+      {.rows = a.rows(),
+       .cols = a.cols(),
+       .check = [&] { require_valid(a); },
+       // Resolve (kernel, blocks, backend) through the tuner; the effective
+       // config carries tune == Off.
+       .tune = [&](const SketchConfig& c) { return resolve_tuning(c, a); },
+       .stage = [&](DenseMatrix<T>& out) { fit(out, cfg.d, a.cols()); },
+       .body = [&](const SketchConfig& c, DenseMatrix<T>& out,
+                   RunControl* run) {
+         SketchConfig eff = c;
+         const std::uint64_t degradations =
+             run != nullptr ? apply_budget_ladder(eff, a, *run) : 0;
+         SketchStats stats = sketch_dispatch(eff, a, out, instrument, run);
+         stats.degradations = degradations;
+         return stats;
+       }});
 }
 
 template <typename T>
@@ -286,41 +297,18 @@ SketchStats sketch_into_prepartitioned(const SketchConfig& cfg,
                                        const BlockedCsr<T>& ab,
                                        DenseMatrix<T>& a_hat,
                                        bool instrument) {
-  if (cfg.check_inputs) {
-    perf::Span span("validate_inputs");
-    require_valid(ab);
-  }
-  ResolvedRunControl rrc(cfg.control, cfg.deadline_ms,
-                         cfg.workspace_budget_bytes);
-  RunControl* const run = rrc.get();
-  if (run == nullptr) {
-    if (a_hat.rows() != cfg.d || a_hat.cols() != ab.cols()) {
-      a_hat.reset(cfg.d, ab.cols());
-    }
-    SketchStats stats;
-    {
-      ScopedArenaScope arena(cfg.arena);
-      stats = sketch_blocked_jki(cfg, ab, a_hat, instrument);
-    }
-    apply_post_scale(cfg, a_hat);
-    return stats;
-  }
-  // The caller already owns the partitioned structure, so there is nothing
-  // for the ladder to shed here — cancellation/deadline polling and the
-  // per-thread scratch budget still apply, with the same staged clean-throw
-  // as sketch_into().
-  run->poll();
-  DenseMatrix<T> staging(cfg.d, ab.cols());
-  SketchStats stats;
-  {
-    ScopedBudgetScope scope(run);
-    ScopedArenaScope arena(cfg.arena);
-    stats = sketch_blocked_jki(cfg, ab, staging, instrument, run);
-  }
-  apply_post_scale(cfg, staging);
-  run->poll();
-  a_hat = std::move(staging);
-  return stats;
+  // The caller owns the partitioned structure, so there is no ladder here:
+  // only the per-thread scratch is charged to a budget.
+  return sketch_frame<DenseMatrix<T>>(
+      cfg, a_hat,
+      {.rows = ab.rows(),
+       .cols = ab.cols(),
+       .check = [&] { require_valid(ab); },
+       .stage = [&](DenseMatrix<T>& out) { fit(out, cfg.d, ab.cols()); },
+       .body = [&](const SketchConfig& c, DenseMatrix<T>& out,
+                   RunControl* run) {
+         return sketch_blocked_jki(c, ab, out, instrument, run);
+       }});
 }
 
 template <typename T>
@@ -358,7 +346,11 @@ DenseMatrix<T> materialize_S(const SketchConfig& cfg, index_t m) {
                                     const CscMatrix<T>&);                    \
   template SketchStats sketch_into_prepartitioned<T>(                        \
       const SketchConfig&, const BlockedCsr<T>&, DenseMatrix<T>&, bool);     \
-  template DenseMatrix<T> materialize_S<T>(const SketchConfig&, index_t);
+  template DenseMatrix<T> materialize_S<T>(const SketchConfig&, index_t);     \
+  template SketchStats sketch_frame(const SketchConfig&, DenseMatrix<T>&,    \
+                                    const SketchFrame<DenseMatrix<T>>&);     \
+  template SketchStats sketch_frame(const SketchConfig&, std::vector<T>&,    \
+                                    const SketchFrame<std::vector<T>>&);
 
 RSKETCH_INSTANTIATE(float)
 RSKETCH_INSTANTIATE(double)

@@ -1,16 +1,10 @@
 #include "sketch/sketch_dense.hpp"
 
-#include <omp.h>
-
-#include <algorithm>
 #include <vector>
 
-#include "dense/blas1.hpp"
-#include "perf/perf.hpp"
-#include "sketch/sketch.hpp"
+#include "sketch/frame.hpp"
+#include "sketch/outer_blocking.hpp"
 #include "sparse/validate.hpp"
-#include "support/aligned_buffer.hpp"
-#include "support/timer.hpp"
 
 namespace rsketch {
 
@@ -46,60 +40,16 @@ void require_finite_dense(const DenseMatrix<T>& x) {
 template <typename T>
 SketchStats sketch_dense_into(const SketchConfig& cfg, const DenseMatrix<T>& x,
                               DenseMatrix<T>& y) {
-  cfg.validate(x.rows(), x.cols());
-  if (cfg.check_inputs) {
-    perf::Span span("validate_inputs");
-    require_finite_dense(x);
-  }
-  const index_t m = x.rows();
-  const index_t k = x.cols();
-  const index_t d = cfg.d;
-  if (y.rows() != d || y.cols() != k) {
-    y.reset(d, k);
-  } else {
-    y.set_zero();
-  }
-  const index_t bd = std::min(cfg.block_d, std::max<index_t>(d, 1));
-  const index_t n_iblocks = d == 0 ? 0 : ceil_div(d, bd);
-
-  const int nthreads =
-      cfg.parallel == ParallelOver::Sequential ? 1 : omp_get_max_threads();
-  std::vector<std::uint64_t> samples(static_cast<std::size_t>(nthreads), 0);
-
-  Timer timer;
-#pragma omp parallel num_threads(nthreads) if (nthreads > 1)
-  {
-    SketchSampler<T> sampler(cfg.seed, cfg.dist, cfg.backend);
-    AlignedBuffer<T> v(bd);
-#pragma omp for schedule(static)
-    for (index_t ib = 0; ib < n_iblocks; ++ib) {
-      const index_t i0 = ib * bd;
-      const index_t d1 = std::min(bd, d - i0);
-      for (index_t j = 0; j < m; ++j) {
-        // v := S[i0 : i0+d1, j], reused across all k columns of X (dense X
-        // has no empty rows to skip).
-        sampler.fill(i0, j, v.data(), d1);
-        for (index_t c = 0; c < k; ++c) {
-          axpy(d1, x(j, c), v.data(), y.col(c) + i0);
-        }
-      }
-    }
-    samples[static_cast<std::size_t>(omp_get_thread_num())] =
-        sampler.samples_generated();
-  }
-
-  SketchStats stats;
-  stats.total_seconds = timer.seconds();
-  for (std::uint64_t s : samples) stats.samples_generated += s;
-  const double flops = 2.0 * static_cast<double>(d) * m * k;
-  stats.gflops =
-      stats.total_seconds > 0 ? flops / stats.total_seconds / 1e9 : 0.0;
-
-  const T scale = sketch_post_scale<T>(cfg);
-  if (scale != T{1}) {
-    for (index_t c = 0; c < k; ++c) scal(d, scale, y.col(c));
-  }
-  return stats;
+  return sketch_frame<DenseMatrix<T>>(
+      cfg, y,
+      {.rows = x.rows(),
+       .cols = x.cols(),
+       .check = [&] { require_finite_dense(x); },
+       .stage = [&](DenseMatrix<T>& out) { fit(out, cfg.d, x.cols()); },
+       .body = [&](const SketchConfig& c, DenseMatrix<T>& out,
+                   RunControl* run) {
+         return sketch_blocked_dense(c, x, out, run);
+       }});
 }
 
 template <typename T>

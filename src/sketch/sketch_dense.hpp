@@ -14,7 +14,9 @@ namespace rsketch {
 
 /// Y := S·X (Y is d×k, resized by the callee). Every column of S is
 /// regenerated once per row block and reused across X's k columns — the
-/// dense analogue of Algorithm 4's reuse. Parallelizes over d-blocks.
+/// dense analogue of Algorithm 4's reuse. Parallelizes over d-blocks. Run
+/// control (cancel, deadline, budget) as for sketch_into; a stopped call
+/// leaves `y` untouched.
 template <typename T>
 SketchStats sketch_dense_into(const SketchConfig& cfg, const DenseMatrix<T>& x,
                               DenseMatrix<T>& y);
@@ -23,15 +25,5 @@ SketchStats sketch_dense_into(const SketchConfig& cfg, const DenseMatrix<T>& x,
 template <typename T>
 std::vector<T> sketch_dense_vector(const SketchConfig& cfg, const T* x,
                                    index_t m);
-
-extern template SketchStats sketch_dense_into<float>(const SketchConfig&,
-                                                     const DenseMatrix<float>&,
-                                                     DenseMatrix<float>&);
-extern template SketchStats sketch_dense_into<double>(
-    const SketchConfig&, const DenseMatrix<double>&, DenseMatrix<double>&);
-extern template std::vector<float> sketch_dense_vector<float>(
-    const SketchConfig&, const float*, index_t);
-extern template std::vector<double> sketch_dense_vector<double>(
-    const SketchConfig&, const double*, index_t);
 
 }  // namespace rsketch

@@ -1,100 +1,27 @@
 #include "sketch/sketch_right.hpp"
 
-#include <omp.h>
-
-#include <algorithm>
-
-#include "dense/blas1.hpp"
-#include "perf/perf.hpp"
-#include "sketch/sketch.hpp"
+#include "sketch/frame.hpp"
+#include "sketch/outer_blocking.hpp"
 #include "sparse/validate.hpp"
-#include "support/aligned_buffer.hpp"
-#include "support/timer.hpp"
 
 namespace rsketch {
 
 template <typename T>
 SketchStats sketch_right_into(const SketchConfig& cfg, const CscMatrix<T>& a,
                               std::vector<T>& b_rowmajor) {
-  cfg.validate(a.rows(), a.cols());
-  if (cfg.check_inputs) {
-    perf::Span span("validate_inputs");
-    require_valid(a);
-  }
-  const index_t m = a.rows();
-  const index_t n = a.cols();
-  const index_t d = cfg.d;
-  b_rowmajor.assign(static_cast<std::size_t>(m * d), T{0});
-  const index_t bd = std::min(cfg.block_d, std::max<index_t>(d, 1));
-  const index_t n_cblocks = d == 0 ? 0 : ceil_div(d, bd);
-
-  const int nthreads =
-      cfg.parallel == ParallelOver::Sequential ? 1 : omp_get_max_threads();
-  std::vector<std::uint64_t> samples(static_cast<std::size_t>(nthreads), 0);
-
-  Timer timer;
-#pragma omp parallel num_threads(nthreads) if (nthreads > 1)
-  {
-    // Per-thread sampler + scratch (the sampler is stateful).
-    SketchSampler<T> sampler(cfg.seed, cfg.dist, cfg.backend);
-    AlignedBuffer<T> v(bd);
-#pragma omp for schedule(dynamic)
-    for (index_t cb = 0; cb < n_cblocks; ++cb) {
-      const index_t c0 = cb * bd;
-      const index_t d1 = std::min(bd, d - c0);
-      for (index_t k = 0; k < n; ++k) {
-        const index_t lo = a.col_ptr()[static_cast<std::size_t>(k)];
-        const index_t hi = a.col_ptr()[static_cast<std::size_t>(k) + 1];
-        if (lo == hi) continue;  // column k of S never generated
-        // v := S[c0 : c0+d1, k], generated once and reused for the whole
-        // CSC column — the reuse Algorithm 4 needs blocked CSR to achieve.
-        sampler.fill(c0, k, v.data(), d1);
-        for (index_t p = lo; p < hi; ++p) {
-          const index_t i = a.row_idx()[static_cast<std::size_t>(p)];
-          axpy(d1, a.values()[static_cast<std::size_t>(p)], v.data(),
-               b_rowmajor.data() + i * d + c0);
-        }
-      }
-    }
-    samples[static_cast<std::size_t>(omp_get_thread_num())] =
-        sampler.samples_generated();
-  }
-
-  SketchStats stats;
-  stats.total_seconds = timer.seconds();
-  for (std::uint64_t s : samples) stats.samples_generated += s;
-  const double flops = 2.0 * static_cast<double>(d) * a.nnz();
-  stats.gflops =
-      stats.total_seconds > 0 ? flops / stats.total_seconds / 1e9 : 0.0;
-
-  const T scale = sketch_post_scale<T>(cfg);
-  if (scale != T{1}) {
-    scal(static_cast<index_t>(b_rowmajor.size()), scale, b_rowmajor.data());
-  }
-  return stats;
-}
-
-template <typename T>
-DenseMatrix<T> materialize_right_S(const SketchConfig& cfg, index_t n) {
-  DenseMatrix<T> s(cfg.d, n);
-  const index_t d = cfg.d;
-  const index_t bd = std::min(cfg.block_d, std::max<index_t>(d, 1));
-  SketchSampler<T> sampler(cfg.seed, cfg.dist, cfg.backend);
-  std::vector<T> v(static_cast<std::size_t>(bd));
-  for (index_t k = 0; k < n; ++k) {
-    for (index_t c0 = 0; c0 < d; c0 += bd) {
-      const index_t d1 = std::min(bd, d - c0);
-      sampler.fill(c0, k, v.data(), d1);
-      for (index_t c = 0; c < d1; ++c) {
-        s(c0 + c, k) = v[static_cast<std::size_t>(c)];
-      }
-    }
-  }
-  const T scale = sketch_post_scale<T>(cfg);
-  if (scale != T{1}) {
-    for (index_t k = 0; k < n; ++k) scal(d, scale, s.col(k));
-  }
-  return s;
+  return sketch_frame<std::vector<T>>(
+      cfg, b_rowmajor,
+      {.rows = a.rows(),
+       .cols = a.cols(),
+       .check = [&] { require_valid(a); },
+       .stage =
+           [&](std::vector<T>& b) {
+             b.resize(static_cast<std::size_t>(a.rows() * cfg.d));
+           },
+       .body = [&](const SketchConfig& c, std::vector<T>& b,
+                   RunControl* run) {
+         return sketch_blocked_right(c, a, b, run);
+       }});
 }
 
 template SketchStats sketch_right_into<float>(const SketchConfig&,
@@ -103,9 +30,5 @@ template SketchStats sketch_right_into<float>(const SketchConfig&,
 template SketchStats sketch_right_into<double>(const SketchConfig&,
                                                const CscMatrix<double>&,
                                                std::vector<double>&);
-template DenseMatrix<float> materialize_right_S<float>(const SketchConfig&,
-                                                       index_t);
-template DenseMatrix<double> materialize_right_S<double>(const SketchConfig&,
-                                                         index_t);
 
 }  // namespace rsketch

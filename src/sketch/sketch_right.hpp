@@ -12,7 +12,6 @@
 
 #include <vector>
 
-#include "dense/dense_matrix.hpp"
 #include "sketch/config.hpp"
 #include "sparse/csc.hpp"
 
@@ -22,24 +21,12 @@ namespace rsketch {
 /// element (i, c) at b_rowmajor[i·d + c]). Blocking over the d dimension
 /// follows cfg.block_d with the same (seed, checkpoint) contract as the
 /// left-sketch kernels: S[c0:c0+d1, k] is a pure function of (seed, c0, k).
-/// cfg.parallel == DBlocks splits the d dimension across threads.
+/// Any non-sequential cfg.parallel splits the d dimension across threads.
+/// Run control (cancel, deadline, budget) as for sketch_into; a stopped
+/// call leaves `b_rowmajor` untouched. S is the matrix materialize_S(cfg, n)
+/// returns (sketch/sketch.hpp).
 template <typename T>
 SketchStats sketch_right_into(const SketchConfig& cfg, const CscMatrix<T>& a,
                               std::vector<T>& b_rowmajor);
-
-/// Materialize the virtual right-sketch S (d×n, column-major) under the
-/// same checkpointing — for tests and small problems.
-template <typename T>
-DenseMatrix<T> materialize_right_S(const SketchConfig& cfg, index_t n);
-
-extern template SketchStats sketch_right_into<float>(const SketchConfig&,
-                                                     const CscMatrix<float>&,
-                                                     std::vector<float>&);
-extern template SketchStats sketch_right_into<double>(
-    const SketchConfig&, const CscMatrix<double>&, std::vector<double>&);
-extern template DenseMatrix<float> materialize_right_S<float>(
-    const SketchConfig&, index_t);
-extern template DenseMatrix<double> materialize_right_S<double>(
-    const SketchConfig&, index_t);
 
 }  // namespace rsketch

@@ -1,139 +1,84 @@
 #include "sketch/streaming.hpp"
 
 #include <algorithm>
-#include <vector>
 
 #include "dense/blas1.hpp"
 #include "perf/perf.hpp"
-#include "sketch/sketch.hpp"
+#include "sketch/frame.hpp"
 #include "sparse/validate.hpp"
+#include "support/aligned_buffer.hpp"
 #include "support/run_control.hpp"
 #include "support/timer.hpp"
 
 namespace rsketch {
 
-namespace {
-
-/// Per-row stop check: count the cause into the perf catalog and throw.
-void poll_counted(const RunControl* run) {
-  const StopCause c = run->stop_cause();
-  if (c == StopCause::None) return;
-  switch (c) {
-    case StopCause::Cancelled:
-      perf::add(perf::Counter::RunCancelled, 1);
-      break;
-    case StopCause::DeadlineExceeded:
-      perf::add(perf::Counter::RunDeadlineHits, 1);
-      break;
-    case StopCause::BudgetExceeded:
-      perf::add(perf::Counter::RunBudgetHits, 1);
-      break;
-    case StopCause::None:
-      break;
-  }
-  throw run_stopped_error(c, "streaming_sketch: run stopped between rows (" +
-                                 to_string(c) + ")");
-}
-
-}  // namespace
-
 template <typename T>
 SketchStats streaming_sketch(const SketchConfig& cfg, const CsrMatrix<T>& a,
                              DenseMatrix<T>& a_hat) {
-  perf::Span span("streaming_sketch");
-  cfg.validate(a.rows(), a.cols());
-  if (cfg.check_inputs) {
-    perf::Span vspan("validate_inputs");
-    require_valid(a);
-  }
-  ResolvedRunControl rrc(cfg.control, cfg.deadline_ms,
-                         cfg.workspace_budget_bytes);
-  RunControl* const run = rrc.get();
+  return sketch_frame<DenseMatrix<T>>(
+      cfg, a_hat,
+      {.rows = a.rows(),
+       .cols = a.cols(),
+       .check = [&] { require_valid(a); },
+       // The rank-1 updates accumulate into Â with no panel of their own
+       // to zero, so Â is staged zeroed.
+       .stage =
+           [&](DenseMatrix<T>& out) {
+             if (out.rows() != cfg.d || out.cols() != a.cols()) {
+               out.reset(cfg.d, a.cols());
+             } else {
+               out.set_zero();
+             }
+           },
+       .body = [&](const SketchConfig& c, DenseMatrix<T>& out,
+                   RunControl* run) {
+         perf::Span span("streaming_sketch");
+         const index_t d = c.d;
+         const index_t bd = std::min(c.block_d, std::max<index_t>(d, 1));
+         SketchSampler<T> sampler(c.seed, c.dist, c.backend);
+         // The d-long column scratch is charged to an armed budget on
+         // allocation; if even this does not fit, the call stops with
+         // BudgetExceeded.
+         AlignedBuffer<T> v(d);
+         Timer timer;
+         std::uint64_t nonempty_rows = 0;
+         for (index_t j = 0; j < a.rows(); ++j) {
+           if (run != nullptr) run->poll();
+           const index_t lo = a.row_ptr()[static_cast<std::size_t>(j)];
+           const index_t hi = a.row_ptr()[static_cast<std::size_t>(j) + 1];
+           if (lo == hi) continue;
+           ++nonempty_rows;
+           // Generate the full column S[:, j] in b_d-sized checkpointed
+           // chunks so the values match the blocked kernels bit-for-bit.
+           for (index_t i0 = 0; i0 < d; i0 += bd) {
+             sampler.fill(i0, j, v.data() + i0, std::min(bd, d - i0));
+           }
+           for (index_t p = lo; p < hi; ++p) {
+             const index_t k = a.col_idx()[static_cast<std::size_t>(p)];
+             axpy(d, a.values()[static_cast<std::size_t>(p)], v.data(),
+                  out.col(k));
+           }
+         }
 
-  // Armed runs stage into a private buffer (clean-throw: a_hat is untouched
-  // if a bound fires mid-stream); the unarmed path writes in place as ever.
-  DenseMatrix<T> staging;
-  DenseMatrix<T>* out = &a_hat;
-  if (run != nullptr) {
-    run->poll();
-    staging.reset(cfg.d, a.cols());
-    out = &staging;
-  } else if (a_hat.rows() != cfg.d || a_hat.cols() != a.cols()) {
-    a_hat.reset(cfg.d, a.cols());
-  } else {
-    a_hat.set_zero();
-  }
-  const index_t d = cfg.d;
-  const index_t bd = std::min(cfg.block_d, std::max<index_t>(d, 1));
-  SketchSampler<T> sampler(cfg.seed, cfg.dist, cfg.backend);
-  // The d-long column scratch is std::vector-backed, so the AlignedBuffer
-  // budget hook never sees it — reserve it explicitly. This is the floor of
-  // the degradation ladder: if even this does not fit, the charge throws
-  // BudgetExceeded.
-  ScopedCharge scratch_charge(run, run != nullptr && run->budget_armed()
-                                       ? static_cast<std::size_t>(d) * sizeof(T)
-                                       : 0);
-  std::vector<T> v(static_cast<std::size_t>(d));
-
-  Timer timer;
-  for (index_t j = 0; j < a.rows(); ++j) {
-    if (run != nullptr) poll_counted(run);
-    const index_t lo = a.row_ptr()[static_cast<std::size_t>(j)];
-    const index_t hi = a.row_ptr()[static_cast<std::size_t>(j) + 1];
-    if (lo == hi) continue;
-    // Generate the full column S[:, j] in b_d-sized checkpointed chunks so
-    // the values match the blocked kernels bit-for-bit.
-    for (index_t i0 = 0; i0 < d; i0 += bd) {
-      sampler.fill(i0, j, v.data() + i0, std::min(bd, d - i0));
-    }
-    for (index_t p = lo; p < hi; ++p) {
-      const index_t k = a.col_idx()[static_cast<std::size_t>(p)];
-      axpy(d, a.values()[static_cast<std::size_t>(p)], v.data(), out->col(k));
-    }
-  }
-
-  SketchStats stats;
-  stats.total_seconds = timer.seconds();
-  stats.samples_generated = sampler.samples_generated();
-  const double flops = 2.0 * static_cast<double>(d) * static_cast<double>(a.nnz());
-  stats.gflops = stats.total_seconds > 0 ? flops / stats.total_seconds / 1e9 : 0.0;
-
-  if (perf::enabled()) {
-    // Same accounting as kernel_jki, over the whole matrix in one pass: one
-    // full column of S per nonempty row, 2·d elements of Â per nonzero.
-    std::uint64_t nonempty_rows = 0;
-    for (index_t j = 0; j < a.rows(); ++j) {
-      nonempty_rows += a.row_ptr()[static_cast<std::size_t>(j) + 1] >
-                               a.row_ptr()[static_cast<std::size_t>(j)]
-                           ? 1u
-                           : 0u;
-    }
-    const std::uint64_t nnz = static_cast<std::uint64_t>(a.nnz());
-    const std::uint64_t du = static_cast<std::uint64_t>(d);
-    auto& c = stats.counters;
-    c.rng_samples = nonempty_rows * du;
-    c.nnz_processed = nnz;
-    c.flops = 2 * nnz * du;
-    c.elems_moved = nnz * (2 * du + 1);
-    c.bytes_moved = nnz * (2 * du * sizeof(T) + sizeof(T) + sizeof(index_t)) +
-                    (static_cast<std::uint64_t>(a.rows()) + 1) * sizeof(index_t);
-    c.bytes_generated = nonempty_rows * du * sizeof(T);
-    c.kernel_blocks = 1;
-    perf::add(c);
-    perf::add(perf::Counter::SketchCalls, 1);
-  }
-
-  const T scale = sketch_post_scale<T>(cfg);
-  if (scale != T{1}) {
-    for (index_t k = 0; k < out->cols(); ++k) {
-      scal(out->rows(), scale, out->col(k));
-    }
-  }
-  if (run != nullptr) {
-    poll_counted(run);
-    a_hat = std::move(staging);
-  }
-  return stats;
+         SketchStats stats;
+         stats.total_seconds = timer.seconds();
+         stats.samples_generated = sampler.samples_generated();
+         const double flops =
+             2.0 * static_cast<double>(d) * static_cast<double>(a.nnz());
+         stats.gflops =
+             stats.total_seconds > 0 ? flops / stats.total_seconds / 1e9 : 0.0;
+         if (perf::enabled()) {
+           // The jki accounting over the whole matrix as one block: one
+           // full column of S per nonempty row.
+           stats.counters.add_block<T>(
+               nonempty_rows, static_cast<std::uint64_t>(a.nnz()),
+               static_cast<std::uint64_t>(d),
+               (static_cast<std::uint64_t>(a.rows()) + 1) * sizeof(index_t));
+           perf::add(stats.counters);
+           perf::add(perf::Counter::SketchCalls, 1);
+         }
+         return stats;
+       }});
 }
 
 template SketchStats streaming_sketch<float>(const SketchConfig&,

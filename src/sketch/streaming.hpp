@@ -18,11 +18,4 @@ template <typename T>
 SketchStats streaming_sketch(const SketchConfig& cfg, const CsrMatrix<T>& a,
                              DenseMatrix<T>& a_hat);
 
-extern template SketchStats streaming_sketch<float>(const SketchConfig&,
-                                                    const CsrMatrix<float>&,
-                                                    DenseMatrix<float>&);
-extern template SketchStats streaming_sketch<double>(const SketchConfig&,
-                                                     const CsrMatrix<double>&,
-                                                     DenseMatrix<double>&);
-
 }  // namespace rsketch

@@ -71,22 +71,6 @@ std::string with_attempt_log(const std::string& msg,
   return os.str();
 }
 
-void count_stop(StopCause cause) {
-  switch (cause) {
-    case StopCause::Cancelled:
-      perf::add(perf::Counter::RunCancelled, 1);
-      break;
-    case StopCause::DeadlineExceeded:
-      perf::add(perf::Counter::RunDeadlineHits, 1);
-      break;
-    case StopCause::BudgetExceeded:
-      perf::add(perf::Counter::RunBudgetHits, 1);
-      break;
-    case StopCause::None:
-      break;
-  }
-}
-
 }  // namespace
 
 template <typename T>

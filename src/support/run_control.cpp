@@ -4,6 +4,7 @@
 #include <chrono>
 #include <limits>
 
+#include "perf/perf.hpp"
 #include "support/env.hpp"
 
 namespace rsketch {
@@ -180,6 +181,22 @@ void CooperativeStop::throw_if_stopped(const char* what) const {
   throw run_stopped_error(c, std::string(what) + ": run stopped between "
                                                  "outer blocks: " +
                                  to_string(c));
+}
+
+void count_stop(StopCause cause) {
+  switch (cause) {
+    case StopCause::Cancelled:
+      perf::add(perf::Counter::RunCancelled, 1);
+      break;
+    case StopCause::DeadlineExceeded:
+      perf::add(perf::Counter::RunDeadlineHits, 1);
+      break;
+    case StopCause::BudgetExceeded:
+      perf::add(perf::Counter::RunBudgetHits, 1);
+      break;
+    case StopCause::None:
+      break;
+  }
 }
 
 }  // namespace rsketch

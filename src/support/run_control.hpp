@@ -205,6 +205,11 @@ class CooperativeStop {
   std::atomic<int> cause_{0};
 };
 
+/// Count one stop into the perf catalog: run_cancelled, run_deadline_hits
+/// or run_budget_hits by cause (None counts nothing). The sketch frame calls
+/// this once per stopped call, the guarded solver once per stopped solve.
+void count_stop(StopCause cause);
+
 namespace detail {
 
 /// Thread-local charge target for the AlignedBuffer charge-before-allocate

@@ -10,13 +10,17 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "perf/perf.hpp"
 #include "sketch/sketch.hpp"
+#include "sketch/sketch_dense.hpp"
+#include "sketch/sketch_right.hpp"
 #include "sketch/streaming.hpp"
 #include "solvers/guarded.hpp"
 #include "solvers/least_squares.hpp"
+#include "sparse/blocked_csr.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/generate.hpp"
 #include "support/memory_tracker.hpp"
@@ -410,6 +414,181 @@ TEST(RunControlStreaming, ArmedButUnhitDeadlineIsBitwiseInvisible) {
   streaming_sketch(armed, csc_to_csr(a), bounded);
   expect_bitwise_equal(plain, bounded);
 }
+
+// ------------------------------------------ every entry point, every cause --
+//
+// The contract holds for all five sketch entry points, not just sketch_into:
+// a stopped call throws the cause, leaves its output exactly as the caller
+// passed it, and bumps the matching run_* counter exactly once.
+
+enum class Entry { Sketch, Prepartitioned, Streaming, Right, Dense };
+
+std::string to_string(Entry e) {
+  switch (e) {
+    case Entry::Sketch: return "sketch_into";
+    case Entry::Prepartitioned: return "prepartitioned";
+    case Entry::Streaming: return "streaming";
+    case Entry::Right: return "right";
+    case Entry::Dense: return "dense";
+  }
+  return "?";
+}
+
+std::vector<double> flatten(const DenseMatrix<double>& m) {
+  std::vector<double> out;
+  for (index_t j = 0; j < m.cols(); ++j) {
+    for (index_t i = 0; i < m.rows(); ++i) out.push_back(m(i, j));
+  }
+  return out;
+}
+
+/// Run one entry point on the shared test input into a sentinel-filled
+/// output of the right shape and return that output flattened, whether or
+/// not the call stopped. A run_stopped_error is caught and its cause stored
+/// in `*cause` (None when the call completed).
+std::vector<double> run_entry(Entry e, const SketchConfig& cfg,
+                              StopCause* cause) {
+  const auto a = test_matrix();
+  *cause = StopCause::None;
+  const auto guarded = [&](auto&& call) {
+    try {
+      call();
+    } catch (const run_stopped_error& err) {
+      *cause = err.cause();
+    }
+  };
+  switch (e) {
+    case Entry::Sketch: {
+      auto out = sentinel_matrix(cfg.d, a.cols());
+      guarded([&] { sketch_into(cfg, a, out); });
+      return flatten(out);
+    }
+    case Entry::Prepartitioned: {
+      const auto ab = BlockedCsr<double>::from_csc(a, 16);
+      auto out = sentinel_matrix(cfg.d, a.cols());
+      guarded([&] { sketch_into_prepartitioned(cfg, ab, out); });
+      return flatten(out);
+    }
+    case Entry::Streaming: {
+      const auto csr = csc_to_csr(a);
+      auto out = sentinel_matrix(cfg.d, a.cols());
+      guarded([&] { streaming_sketch(cfg, csr, out); });
+      return flatten(out);
+    }
+    case Entry::Right: {
+      std::vector<double> out(static_cast<std::size_t>(a.rows() * cfg.d),
+                              -123.25);
+      guarded([&] { sketch_right_into(cfg, a, out); });
+      return out;
+    }
+    case Entry::Dense: {
+      DenseMatrix<double> x(a.rows(), 3);
+      for (index_t j = 0; j < x.cols(); ++j) {
+        for (index_t i = 0; i < x.rows(); ++i) {
+          x(i, j) = static_cast<double>((i + 3 * j) % 7) - 3.0;
+        }
+      }
+      auto out = sentinel_matrix(cfg.d, x.cols());
+      guarded([&] { sketch_dense_into(cfg, x, out); });
+      return flatten(out);
+    }
+  }
+  return {};
+}
+
+perf::Counter counter_of(StopCause c) {
+  switch (c) {
+    case StopCause::Cancelled: return perf::Counter::RunCancelled;
+    case StopCause::DeadlineExceeded: return perf::Counter::RunDeadlineHits;
+    default: return perf::Counter::RunBudgetHits;
+  }
+}
+
+constexpr Entry kEntries[] = {Entry::Sketch, Entry::Prepartitioned,
+                              Entry::Streaming, Entry::Right, Entry::Dense};
+
+class RunControlContract
+    : public ::testing::TestWithParam<std::tuple<Entry, StopCause>> {};
+
+TEST_P(RunControlContract, StopLeavesOutputUntouchedAndCountsOnce) {
+  const auto [entry, want] = GetParam();
+  SketchConfig cfg;
+  cfg.d = 24;
+  cfg.block_d = 8;  // several row blocks, so the driver really schedules
+  faults::ScheduledFault clock;
+  RunControl rc;
+  switch (want) {
+    case StopCause::Cancelled:
+      rc.request_cancel();
+      cfg.control = &rc;
+      break;
+    case StopCause::DeadlineExceeded:
+      rc.set_deadline_ms(10.0);
+      clock.advance_ms(20.0);  // expired before the call starts
+      cfg.control = &rc;
+      break;
+    default:
+      cfg.workspace_budget_bytes = 1;  // nothing fits
+      cfg.on_pressure = OnPressure::Fail;
+      break;
+  }
+
+  perf::set_enabled(true);
+  perf::reset();
+  StopCause got = StopCause::None;
+  const auto out = run_entry(entry, cfg, &got);
+  const auto snap = perf::snapshot();
+  perf::set_enabled(false);
+
+  EXPECT_EQ(got, want);
+  ASSERT_FALSE(out.empty());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(out[i], -123.25) << "output mutated at " << i
+                               << " despite the stop";
+  }
+  for (StopCause c : {StopCause::Cancelled, StopCause::DeadlineExceeded,
+                      StopCause::BudgetExceeded}) {
+    EXPECT_EQ(snap.get(counter_of(c)), c == want ? 1u : 0u)
+        << "counter for " << to_string(c);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryEntryPoint, RunControlContract,
+    ::testing::Combine(::testing::ValuesIn(kEntries),
+                       ::testing::Values(StopCause::Cancelled,
+                                         StopCause::DeadlineExceeded,
+                                         StopCause::BudgetExceeded)),
+    [](const auto& info) {
+      return to_string(std::get<0>(info.param)) + "_" +
+             to_string(std::get<1>(info.param));
+    });
+
+class RunControlArmedUnhit : public ::testing::TestWithParam<Entry> {};
+
+TEST_P(RunControlArmedUnhit, OutputIsBitwiseTheUnarmedOne) {
+  SketchConfig cfg;
+  cfg.d = 24;
+  cfg.block_d = 8;
+  StopCause cause = StopCause::None;
+  const auto plain = run_entry(GetParam(), cfg, &cause);
+  ASSERT_EQ(cause, StopCause::None);
+  SketchConfig armed = cfg;
+  armed.deadline_ms = 1e9;
+  armed.workspace_budget_bytes = std::size_t{1} << 40;
+  const auto bounded = run_entry(GetParam(), armed, &cause);
+  ASSERT_EQ(cause, StopCause::None);
+  ASSERT_EQ(plain.size(), bounded.size());
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    ASSERT_EQ(plain[i], bounded[i]) << "at " << i;
+  }
+}
+
+// sketch_into and streaming_sketch have their own cases above.
+INSTANTIATE_TEST_SUITE_P(OtherEntryPoints, RunControlArmedUnhit,
+                         ::testing::Values(Entry::Prepartitioned, Entry::Right,
+                                           Entry::Dense),
+                         [](const auto& info) { return to_string(info.param); });
 
 // --------------------------------------------------------- guarded solve --
 

@@ -5,9 +5,8 @@
 // output panels, so Â must be bitwise identical between uniform and
 // balanced schedules for every kernel × ISA tier × element type. The rest
 // of the file pins the partitioner itself: LPT quality on random costs,
-// determinism, mode resolution precedence (including the deprecated
-// RSKETCH_JKI_SCHEDULE alias), the skew bias on block suggestions, and the
-// pinning helpers degrading gracefully.
+// determinism, mode resolution precedence, the skew bias on block
+// suggestions, and the pinning helpers degrading gracefully.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -42,30 +41,23 @@ TEST(ScheduleResolve, ParseAcceptsExactlyThreeTokens) {
 }
 
 TEST(ScheduleResolve, ExplicitRequestBeatsEveryEnv) {
-  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Uniform, "balanced", "dynamic"),
+  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Uniform, "balanced"),
             ScheduleMode::Uniform);
-  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Balanced, "uniform", "static"),
+  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Balanced, "uniform"),
             ScheduleMode::Balanced);
 }
 
-TEST(ScheduleResolve, EnvThenLegacyAliasThenBalancedDefault) {
-  // RSKETCH_SCHEDULE wins over the deprecated alias.
-  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Auto, "uniform", "dynamic"),
+TEST(ScheduleResolve, EnvThenBalancedDefault) {
+  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Auto, "uniform"),
             ScheduleMode::Uniform);
-  // "auto" in the env falls through to the alias / default.
-  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Auto, "auto", "static"),
-            ScheduleMode::Uniform);
-  // Deprecated RSKETCH_JKI_SCHEDULE mapping: static → Uniform (the old
-  // omp-static split), anything else → Balanced.
-  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Auto, "", "static"),
-            ScheduleMode::Uniform);
-  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Auto, "", "dynamic"),
+  // "auto" in the env falls through to the default.
+  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Auto, "auto"),
             ScheduleMode::Balanced);
   // Default is ON: no request, no env → balanced.
-  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Auto, "", ""),
+  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Auto, ""),
             ScheduleMode::Balanced);
   // Invalid RSKETCH_SCHEDULE warns and degrades to the default.
-  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Auto, "bogus", ""),
+  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Auto, "bogus"),
             ScheduleMode::Balanced);
 }
 

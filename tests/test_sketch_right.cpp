@@ -5,6 +5,7 @@
 #include <tuple>
 #include <vector>
 
+#include "sketch/sketch.hpp"
 #include "sketch/sketch_right.hpp"
 #include "sparse/generate.hpp"
 #include "sparse/validate.hpp"
@@ -16,7 +17,7 @@ namespace {
 /// Dense reference B = A·Sᵀ from the materialized right-sketch S (d×n).
 std::vector<double> reference(const SketchConfig& cfg,
                               const CscMatrix<double>& a) {
-  const auto s = materialize_right_S<double>(cfg, a.cols());
+  const auto s = materialize_S<double>(cfg, a.cols());
   std::vector<double> b(static_cast<std::size_t>(a.rows() * cfg.d), 0.0);
   for (index_t i = 0; i < a.rows(); ++i) {
     for (index_t c = 0; c < cfg.d; ++c) {
