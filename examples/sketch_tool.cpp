@@ -60,7 +60,7 @@ int usage(const char* prog) {
                "             docs/SERVING.md has the full format)\n"
                "common flags: --no-check disables the input validators "
                "(structure + NaN/Inf scan), on by default;\n"
-               "  --tune selects block/kernel/backend autotuning "
+               "  --tune selects block/kernel autotuning "
                "(docs/AUTOTUNING.md; default: model blocks only)\n"
                "  --trace PATH records a Chrome-trace timeline to PATH "
                "(same as RSKETCH_TRACE=PATH; docs/OBSERVABILITY.md)\n"
@@ -93,6 +93,32 @@ OnPressure parse_on_pressure(const std::string& s) {
   if (s == "degrade") return OnPressure::Degrade;
   throw invalid_argument_error("unknown --on-pressure '" + s +
                                "' (want fail|degrade)");
+}
+
+/// The sketch flags `sketch` and `batch` share: --gamma, --dist, --kernel,
+/// --no-check, --on-pressure, --isa and --schedule, for a sketch of `a`.
+SketchConfig sketch_config_from_flags(const CliArgs& args,
+                                      const CscMatrix<double>& a,
+                                      std::uint64_t seed) {
+  SketchConfig cfg;
+  cfg.d = static_cast<index_t>(args.get_double("gamma", 3.0) *
+                               static_cast<double>(a.cols()));
+  cfg.seed = seed;
+  cfg.dist = parse_dist(args.get("dist", "pm1"));
+  cfg.kernel =
+      args.get("kernel", "kji") == "jki" ? KernelVariant::Jki
+                                         : KernelVariant::Kji;
+  cfg.normalize = true;
+  cfg.check_inputs = !args.has("no-check");
+  cfg.on_pressure = parse_on_pressure(args.get("on-pressure", "degrade"));
+  const std::string isa = args.get("isa", "auto");
+  require(microkernel::parse_isa(isa, &cfg.isa),
+          "unknown --isa '" + isa + "' (want auto|scalar|avx2|avx512)");
+  const std::string schedule = args.get("schedule", "auto");
+  require(parse_schedule_mode(schedule, cfg.schedule),
+          "unknown --schedule '" + schedule +
+              "' (want auto|uniform|balanced)");
+  return cfg;
 }
 
 std::vector<double> read_vector(const std::string& path, index_t expect) {
@@ -128,27 +154,11 @@ int cmd_sketch(const CliArgs& args, const CscMatrix<double>& a) {
     std::fprintf(stderr, "sketch: --out is required\n");
     return 2;
   }
-  SketchConfig cfg;
-  cfg.d = static_cast<index_t>(args.get_double("gamma", 3.0) *
-                               static_cast<double>(a.cols()));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  cfg.dist = parse_dist(args.get("dist", "pm1"));
-  cfg.kernel =
-      args.get("kernel", "kji") == "jki" ? KernelVariant::Jki
-                                         : KernelVariant::Kji;
-  cfg.normalize = true;
-  cfg.check_inputs = !args.has("no-check");
+  SketchConfig cfg = sketch_config_from_flags(
+      args, a, static_cast<std::uint64_t>(args.get_int("seed", 42)));
   cfg.deadline_ms = args.get_double("deadline-ms", 0.0);
   cfg.workspace_budget_bytes = static_cast<std::size_t>(
       args.get_double("budget-mb", 0.0) * 1e6);
-  cfg.on_pressure = parse_on_pressure(args.get("on-pressure", "degrade"));
-  const std::string isa = args.get("isa", "auto");
-  require(microkernel::parse_isa(isa, &cfg.isa),
-          "unknown --isa '" + isa + "' (want auto|scalar|avx2|avx512)");
-  const std::string schedule = args.get("schedule", "auto");
-  require(parse_schedule_mode(schedule, cfg.schedule),
-          "unknown --schedule '" + schedule +
-              "' (want auto|uniform|balanced)");
   TuneDecision decision;
   const std::string tune = args.get("tune", "");
   const index_t block_d_flag =
@@ -392,23 +402,7 @@ int cmd_batch(const CliArgs& args) {
   handles.reserve(manifest.size());
   for (std::size_t i = 0; i < manifest.size(); ++i) {
     const CscMatrix<double>& a = *matrices.at(manifest[i].matrix_path);
-    SketchConfig cfg;
-    cfg.d = static_cast<index_t>(args.get_double("gamma", 3.0) *
-                                 static_cast<double>(a.cols()));
-    cfg.seed = manifest[i].seed;
-    cfg.dist = parse_dist(args.get("dist", "pm1"));
-    cfg.kernel = args.get("kernel", "kji") == "jki" ? KernelVariant::Jki
-                                                    : KernelVariant::Kji;
-    cfg.normalize = true;
-    cfg.check_inputs = !args.has("no-check");
-    cfg.on_pressure = parse_on_pressure(args.get("on-pressure", "degrade"));
-    const std::string isa = args.get("isa", "auto");
-    require(microkernel::parse_isa(isa, &cfg.isa),
-            "unknown --isa '" + isa + "' (want auto|scalar|avx2|avx512)");
-    const std::string schedule = args.get("schedule", "auto");
-    require(parse_schedule_mode(schedule, cfg.schedule),
-            "unknown --schedule '" + schedule +
-                "' (want auto|uniform|balanced)");
+    SketchConfig cfg = sketch_config_from_flags(args, a, manifest[i].seed);
     if (!tune.empty()) {
       // Resolved through the batch's shared memo: one fingerprint pass (and
       // at most one pilot run) per distinct problem shape, not per job.

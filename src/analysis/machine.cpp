@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "perf/perf.hpp"
 #include "support/timer.hpp"
 
 namespace rsketch {
@@ -20,6 +21,7 @@ volatile double g_sink = 0.0;
 
 StreamResult stream_benchmark(index_t elems, int reps) {
   require(elems > 0 && reps > 0, "stream_benchmark: invalid parameters");
+  perf::Span span("probe/stream");
   std::vector<double> a(static_cast<std::size_t>(elems), 1.0);
   std::vector<double> b(static_cast<std::size_t>(elems), 2.0);
   std::vector<double> c(static_cast<std::size_t>(elems), 0.0);
@@ -82,6 +84,7 @@ double rng_throughput(Dist dist, RngBackend backend, index_t vec_len,
 
 double measure_h(Dist dist, RngBackend backend, const StreamResult& stream,
                  index_t vec_len) {
+  perf::Span span("probe/h");
   const double samples_per_sec = rng_throughput(dist, backend, vec_len, 200);
   const double elems_per_sec = stream.copy_gbps * 1e9 / 4.0;  // 32-bit loads
   return elems_per_sec / samples_per_sec;

@@ -20,12 +20,13 @@ struct StreamResult {
 };
 
 /// Run STREAM copy/scale/add/triad over `elems` doubles, `reps` repetitions,
-/// reporting the best bandwidth (standard STREAM methodology).
+/// reporting the best bandwidth (standard STREAM methodology). Timed under
+/// the "probe/stream" span.
 StreamResult stream_benchmark(index_t elems, int reps);
 
-/// Process-wide memoized stream_benchmark(1<<21, 2) — the probe the model
-/// tuner and the block scheduler share, so calibration is paid once no
-/// matter how many consumers ask.
+/// Process-wide memoized stream_benchmark(1<<21, 2) — the probe behind the
+/// model tuner's h (autotune_blocks) and the perf report's machine section,
+/// so calibration is paid once no matter how many consumers ask.
 const StreamResult& cached_stream_result();
 
 /// Generation throughput of one (distribution, backend) pair in
@@ -36,6 +37,7 @@ double rng_throughput(Dist dist, RngBackend backend, index_t vec_len,
 
 /// Measured h: (seconds per generated sample) / (seconds per element moved),
 /// using the STREAM copy bandwidth for the denominator and 4-byte elements.
+/// Timed under the "probe/h" span.
 double measure_h(Dist dist, RngBackend backend, const StreamResult& stream,
                  index_t vec_len = 10000);
 

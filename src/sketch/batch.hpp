@@ -203,18 +203,6 @@ class SketchBatch {
   WorkspaceArena& arena() { return arena_; }
 
  private:
-  /// Tuner choice shared across jobs with the same fingerprint+config —
-  /// the expensive part (fingerprint pass, pilot timing or cache file read)
-  /// runs once per distinct problem shape per batch.
-  struct TunedChoice {
-    KernelVariant kernel;
-    RngBackend backend;
-    index_t block_d;
-    index_t block_n;
-    microkernel::Isa isa;
-    ScheduleMode schedule;
-  };
-
   JobHandle enqueue(std::function<SketchStats(RunControl*)> body, bool large);
 
   template <typename T>
@@ -248,33 +236,21 @@ class SketchBatch {
       std::lock_guard<std::mutex> lock(tuner_mu_);
       const auto it = tuner_memo_.find(key);
       if (it != tuner_memo_.end()) {
-        apply_choice(cfg, it->second);
+        apply_candidate(cfg, it->second);
         return cfg;
       }
     }
     // Resolve outside the lock: a racing duplicate resolution is benign
     // (deterministic inputs, identical result) and never blocks submitters
     // behind a pilot-timing run.
-    const SketchConfig resolved = resolve_tuning(cfg, a);
-    const TunedChoice choice{resolved.kernel,  resolved.backend,
-                             resolved.block_d, resolved.block_n,
-                             resolved.isa,     resolved.schedule};
+    TuneDecision decision;
+    resolve_tuning(cfg, a, &decision);
     {
       std::lock_guard<std::mutex> lock(tuner_mu_);
-      tuner_memo_.emplace(key, choice);
+      tuner_memo_.emplace(key, decision.choice);
     }
-    apply_choice(cfg, choice);
+    apply_candidate(cfg, decision.choice);
     return cfg;
-  }
-
-  static void apply_choice(SketchConfig& cfg, const TunedChoice& c) {
-    cfg.kernel = c.kernel;
-    cfg.backend = c.backend;
-    cfg.block_d = c.block_d;
-    cfg.block_n = c.block_n;
-    cfg.isa = c.isa;
-    cfg.schedule = c.schedule;
-    cfg.tune = TuneMode::Off;
   }
 
   BatchOptions options_;
@@ -282,8 +258,11 @@ class SketchBatch {
   WorkspaceArena arena_{&control_};
   std::size_t cache_bytes_ = 0;
 
+  /// Tuner choice shared across jobs with the same fingerprint+config —
+  /// the expensive part (fingerprint pass, pilot timing or cache file read)
+  /// runs once per distinct problem shape per batch.
   std::mutex tuner_mu_;
-  std::map<std::string, TunedChoice> tuner_memo_;
+  std::map<std::string, TuneCandidate> tuner_memo_;
 
   mutable std::mutex jobs_mu_;
   std::vector<std::shared_ptr<detail::BatchJob>> jobs_;

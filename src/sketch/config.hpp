@@ -31,8 +31,9 @@ enum class ParallelOver {
   NBlocks      ///< threads split the n-dimension (columns of Â and A)
 };
 
-/// How sketch_into() chooses (kernel, blocks, backend) before dispatching
-/// (sketch/tuner.hpp; see docs/AUTOTUNING.md).
+/// How sketch_into() chooses (kernel, blocks, isa, schedule) before
+/// dispatching (sketch/tuner.hpp; see docs/AUTOTUNING.md). The caller's
+/// dist, backend and seed are never tuned.
 enum class TuneMode {
   Off,        ///< use the caller's config verbatim (default; zero overhead)
   Model,      ///< §III-A model via suggest_blocks() — one cheap machine probe
@@ -84,8 +85,8 @@ struct SketchConfig {
   /// turns it on. See docs/ROBUSTNESS.md.
   bool check_inputs = false;
   /// Autotuning mode: when not Off, sketch_into() resolves (kernel, block_d,
-  /// block_n, backend) through sketch/tuner.hpp before dispatching. The hot
-  /// path pays one branch when Off. See docs/AUTOTUNING.md.
+  /// block_n, isa, schedule) through sketch/tuner.hpp before dispatching.
+  /// The hot path pays one branch when Off. See docs/AUTOTUNING.md.
   TuneMode tune = TuneMode::Off;
   /// Micro-kernel ISA tier for the inner loops (dense/microkernel.hpp).
   /// Auto resolves to the best tier the build and CPU support, overridable

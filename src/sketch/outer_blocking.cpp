@@ -149,12 +149,11 @@ struct BlockWork {
   std::uint64_t index_bytes = 0;
 
   /// Cost-model estimate for a d1-row block, in element-traffic units
-  /// (sketch/schedule.hpp): first-touch stores, h per generated sample, 2
-  /// per flop pair.
-  double cost(index_t d1, double h) const {
-    return static_cast<double>(d1) *
-           (static_cast<double>(width) + h * static_cast<double>(columns) +
-            2.0 * static_cast<double>(nnz));
+  /// (sketch/schedule.hpp): first-touch stores, one per generated sample
+  /// (h = 1), 2 per flop pair. An exact integer, so the schedule depends on
+  /// A's structure alone.
+  double cost(index_t d1) const {
+    return static_cast<double>(d1 * (width + columns + 2 * nnz));
   }
 };
 
@@ -308,13 +307,12 @@ SketchStats run_outer_blocks(const SketchConfig& cfg, const K& kernel,
   const index_t n_items = slabs ? n_jblocks : n_iblocks * n_jblocks;
   const BlockSchedule sched = build_block_schedule(
       resolve_schedule_mode(cfg.schedule), nthreads, n_items, [&] {
-        const double h = schedule_rng_cost(cfg.dist, cfg.backend);
         std::vector<double> costs(static_cast<std::size_t>(n_items), 0.0);
         for (index_t jb = 0; jb < n_jblocks; ++jb) {
           const BlockWork w = kernel.work(jb);
           for (index_t ib = 0; ib < n_iblocks; ++ib) {
             costs[static_cast<std::size_t>(slabs ? jb : jb * n_iblocks + ib)] +=
-                w.cost(d1_of(ib), h);
+                w.cost(d1_of(ib));
           }
         }
         return costs;
@@ -324,7 +322,6 @@ SketchStats run_outer_blocks(const SketchConfig& cfg, const K& kernel,
 #pragma omp parallel num_threads(nthreads) if (nthreads > 1)
   {
     trace_name_omp_thread();
-    maybe_pin_omp_thread(nthreads);
     const int team = std::max(1, omp_get_num_threads());
     // Robust to a shrunk team: every per-thread list runs exactly once no
     // matter how many workers actually materialized.

@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <mutex>
 #include <numeric>
-#include <utility>
 
-#include "analysis/machine.hpp"
 #include "perf/perf.hpp"
 #include "perf/trace.hpp"
 #include "support/env.hpp"
@@ -50,23 +46,6 @@ ScheduleMode resolve_schedule_mode(ScheduleMode requested) {
   static const ScheduleMode from_env = resolve_schedule_mode(
       ScheduleMode::Auto, env_string("RSKETCH_SCHEDULE", ""));
   return from_env;
-}
-
-double schedule_rng_cost(Dist dist, RngBackend backend) {
-  static std::mutex mu;
-  static std::map<std::pair<int, int>, double> memo;
-  const auto key = std::make_pair(static_cast<int>(dist),
-                                  static_cast<int>(backend));
-  std::lock_guard<std::mutex> lock(mu);
-  auto it = memo.find(key);
-  if (it != memo.end()) return it->second;
-  const double h = measure_h(dist, backend, cached_stream_result());
-  // The estimator only needs a sane ratio; a probe gone sideways (throttled
-  // box, zero-length timing window) must not poison every schedule after it.
-  const double clamped = std::isfinite(h) ? std::min(std::max(h, 0.1), 1e4)
-                                          : 1.0;
-  memo.emplace(key, clamped);
-  return clamped;
 }
 
 BlockSchedule build_uniform_schedule(index_t n_items, int nthreads) {

@@ -5,9 +5,11 @@
 // omp-for split leaves threads idling behind whichever one drew the dense
 // blocks (thread_imbalance 1.4 at 4 threads on the table7 skewed workload).
 // This module closes the structure → cost → schedule loop: a per-block work
-// estimator calibrated once per process from the machine probes feeds an LPT
-// bin-packing partitioner that emits a deterministic static BlockSchedule —
-// an explicit per-thread list of block ids each thread walks privately.
+// estimator computed from A's structure alone feeds an LPT bin-packing
+// partitioner that emits a deterministic static BlockSchedule — an explicit
+// per-thread list of block ids each thread walks privately. No machine probe
+// is consulted, so the schedule is a pure function of the input, the config
+// and the team size.
 //
 // Every mode executes every block exactly once and output blocks are
 // disjoint, so Â is bitwise identical across schedules, kernels, ISA tiers
@@ -49,11 +51,6 @@ ScheduleMode resolve_schedule_mode(ScheduleMode requested,
 /// Resolve Auto through the process environment (cached after first read).
 ScheduleMode resolve_schedule_mode(ScheduleMode requested);
 
-/// Calibrated cost of generating one entry of S relative to moving one
-/// element, i.e. measured h from analysis/machine.hpp — memoized per
-/// (dist, backend) so the stream + RNG probes run once per process.
-double schedule_rng_cost(Dist dist, RngBackend backend);
-
 /// Contiguous equal-count split of [0, n_items) over `nthreads` lists —
 /// the moral equivalent of omp schedule(static). No cost model consulted.
 BlockSchedule build_uniform_schedule(index_t n_items, int nthreads);
@@ -68,8 +65,8 @@ BlockSchedule build_balanced_schedule(const std::vector<double>& costs,
 /// Build the schedule for one kernel invocation: resolves nothing (pass the
 /// resolved mode), times the build under the "schedule/build" span, bumps
 /// the schedule_* counters and emits the predicted imbalance onto the trace
-/// counter track. `costs` is only invoked for Balanced — Uniform never pays
-/// the calibration probes. Sequential runs (nthreads <= 1) and degenerate
+/// counter track. `costs` is only invoked for Balanced — Uniform never walks
+/// the estimator. Sequential runs (nthreads <= 1) and degenerate
 /// item counts short-circuit to a trivial split with no telemetry.
 BlockSchedule build_block_schedule(
     ScheduleMode resolved, int nthreads, index_t n_items,

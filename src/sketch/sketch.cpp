@@ -270,8 +270,8 @@ SketchStats sketch_into(const SketchConfig& cfg, const CscMatrix<T>& a,
       {.rows = a.rows(),
        .cols = a.cols(),
        .check = [&] { require_valid(a); },
-       // Resolve (kernel, blocks, backend) through the tuner; the effective
-       // config carries tune == Off.
+       // Resolve (kernel, blocks, isa, schedule) through the tuner; the
+       // effective config carries tune == Off and the caller's backend.
        .tune = [&](const SketchConfig& c) { return resolve_tuning(c, a); },
        .stage = [&](DenseMatrix<T>& out) { fit(out, cfg.d, a.cols()); },
        .body = [&](const SketchConfig& c, DenseMatrix<T>& out,

@@ -19,7 +19,6 @@
 #include "sketch/schedule.hpp"
 #include "sketch/sketch.hpp"
 #include "support/env.hpp"
-#include "support/parallel.hpp"
 #include "support/run_control.hpp"
 #include "support/timer.hpp"
 
@@ -34,59 +33,11 @@ const char* kernel_token(KernelVariant k) {
   return k == KernelVariant::Kji ? "kji" : "jki";
 }
 
-const char* backend_token(RngBackend b) {
-  switch (b) {
-    case RngBackend::Xoshiro: return "xoshiro";
-    case RngBackend::XoshiroBatch: return "xoshiro_batch";
-    case RngBackend::Philox: return "philox";
-  }
-  return "?";
-}
-
 bool parse_kernel_token(const std::string& s, KernelVariant* out) {
   if (s == "kji") *out = KernelVariant::Kji;
   else if (s == "jki") *out = KernelVariant::Jki;
   else return false;
   return true;
-}
-
-bool parse_backend_token(const std::string& s, RngBackend* out) {
-  if (s == "xoshiro") *out = RngBackend::Xoshiro;
-  else if (s == "xoshiro_batch") *out = RngBackend::XoshiroBatch;
-  else if (s == "philox") *out = RngBackend::Philox;
-  else return false;
-  return true;
-}
-
-/// The paper's two backend families differ in how S is addressed (block
-/// checkpoints vs. per-entry counters); the tuner crosses the model blocks
-/// with the family the caller did not pick.
-RngBackend alternate_backend(RngBackend b) {
-  return b == RngBackend::Philox ? RngBackend::XoshiroBatch
-                                 : RngBackend::Philox;
-}
-
-/// Model suggestion for cfg over `a`: one memoized STREAM pass + RNG probe,
-/// like autotune_blocks(), but returning the suggestion instead of mutating
-/// cfg. Skew-biased so the scheduler has enough blocks to balance.
-template <typename T>
-BlockSuggestion model_suggestion(const SketchConfig& cfg,
-                                 const CscMatrix<T>& a) {
-  const double h = measure_h(cfg.dist, cfg.backend, cached_stream_result());
-  BlockSuggestion s = suggest_blocks(a.rows(), a.cols(), cfg.d, a.density(),
-                                     detect_cache_bytes(), h, sizeof(T));
-  const int nthreads =
-      cfg.parallel == ParallelOver::Sequential ? 1 : max_threads();
-  return bias_blocks_for_skew(s, row_degree_stats(a), a.cols(), nthreads);
-}
-
-void apply(SketchConfig& cfg, const TuneCandidate& cand) {
-  cfg.kernel = cand.kernel;
-  cfg.backend = cand.backend;
-  cfg.block_d = cand.block_d;
-  cfg.block_n = cand.block_n;
-  cfg.isa = cand.isa;
-  cfg.schedule = cand.schedule;
 }
 
 /// Leading-column slice A[:, 0:pilot_n) with d clamped — the pilot problem
@@ -145,9 +96,9 @@ std::pair<std::size_t, double> time_candidates(
   std::size_t best = 0;
   double best_secs = 1e300;
   for (std::size_t c = 0; c < cands.size(); ++c) {
-    apply(pcfg, cands[c]);
+    apply_candidate(pcfg, cands[c]);
     // Label each pilot run with the candidate it timed, so the timeline shows
-    // which (kernel, blocks, backend) combination each slice belongs to.
+    // which (kernel, blocks, isa, schedule) combination each slice belongs to.
     // Interning the dynamic name is safe (the table owns it) and off the hot
     // path; skipped entirely when tracing is off.
     perf::trace::Scope cand_scope(
@@ -189,12 +140,12 @@ template <typename T>
 void resolve_model(const SketchConfig& cfg, const CscMatrix<T>& a,
                    SketchConfig& eff, TuneDecision& dec) {
   perf::Span span("tuner/model");
-  const BlockSuggestion s = model_suggestion(cfg, a);
-  eff.block_d = s.block_d;
-  eff.block_n = s.block_n;
-  dec.choice = {cfg.kernel, cfg.backend, s.block_d, s.block_n, cfg.isa,
+  SketchConfig model = cfg;
+  autotune_blocks(model, a);
+  dec.choice = {cfg.kernel, model.block_d, model.block_n, cfg.isa,
                 cfg.schedule};
   dec.source = TuneSource::Model;
+  apply_candidate(eff, dec.choice);
 }
 
 /// Empirical search shared by TuneMode::Empirical and the cache-miss path.
@@ -222,7 +173,7 @@ void resolve_empirical(const SketchConfig& cfg, const CscMatrix<T>& a,
     resolve_model(cfg, a, eff, dec);
     return;
   }
-  apply(eff, cands[best]);
+  apply_candidate(eff, cands[best]);
   dec.choice = cands[best];
   dec.source = TuneSource::Empirical;
   dec.pilot_seconds = best_secs;
@@ -233,10 +184,18 @@ void resolve_empirical(const SketchConfig& cfg, const CscMatrix<T>& a,
 
 std::string TuneCandidate::label() const {
   std::ostringstream os;
-  os << kernel_token(kernel) << "/" << backend_token(backend) << "/"
-     << block_d << "x" << block_n << "/" << microkernel::to_string(isa) << "/"
-     << to_string(schedule);
+  os << kernel_token(kernel) << "/" << block_d << "x" << block_n << "/"
+     << microkernel::to_string(isa) << "/" << to_string(schedule);
   return os.str();
+}
+
+void apply_candidate(SketchConfig& cfg, const TuneCandidate& cand) {
+  cfg.kernel = cand.kernel;
+  cfg.block_d = cand.block_d;
+  cfg.block_n = cand.block_n;
+  cfg.isa = cand.isa;
+  cfg.schedule = cand.schedule;
+  cfg.tune = TuneMode::Off;
 }
 
 std::string to_string(TuneSource s) {
@@ -282,31 +241,28 @@ std::string matrix_fingerprint(const CscMatrix<T>& a, index_t d) {
 template <typename T>
 std::vector<TuneCandidate> tuner_candidates(const SketchConfig& cfg,
                                             const CscMatrix<T>& a) {
-  const BlockSuggestion s = model_suggestion(cfg, a);
+  SketchConfig model = cfg;
+  autotune_blocks(model, a);
   const index_t d = std::max<index_t>(1, cfg.d);
   const index_t n = std::max<index_t>(1, a.cols());
   std::vector<index_t> bds, bns;
-  for (index_t bd : {s.block_d / 2, s.block_d, s.block_d * 2}) {
+  for (index_t bd : {model.block_d / 2, model.block_d, model.block_d * 2}) {
     bd = std::clamp<index_t>(bd, 1, d);
     if (std::find(bds.begin(), bds.end(), bd) == bds.end()) bds.push_back(bd);
   }
-  for (index_t bn : {s.block_n / 2, s.block_n, s.block_n * 2}) {
+  for (index_t bn : {model.block_n / 2, model.block_n, model.block_n * 2}) {
     bn = std::clamp<index_t>(bn, 1, n);
     if (std::find(bns.begin(), bns.end(), bn) == bns.end()) bns.push_back(bn);
   }
   std::vector<TuneCandidate> out;
-  const index_t model_bd = std::clamp<index_t>(s.block_d, 1, d);
-  const index_t model_bn = std::clamp<index_t>(s.block_n, 1, n);
+  const index_t model_bd = std::clamp<index_t>(model.block_d, 1, d);
+  const index_t model_bn = std::clamp<index_t>(model.block_n, 1, n);
   for (KernelVariant k : {KernelVariant::Kji, KernelVariant::Jki}) {
     for (index_t bd : bds) {
       for (index_t bn : bns) {
-        out.push_back({k, cfg.backend, bd, bn, cfg.isa});
+        out.push_back({k, bd, bn, cfg.isa});
       }
     }
-    // The other backend family only at the model blocks: it changes the
-    // per-sample cost h, not the blocking trade-off, so one point suffices.
-    out.push_back({k, alternate_backend(cfg.backend), model_bd, model_bn,
-                   cfg.isa});
     // The supported micro-kernel tiers below the auto pick, also only at
     // the model blocks. Auto already dispatches the widest tier, so only
     // the alternates need timing — narrower vectors do occasionally win
@@ -317,7 +273,7 @@ std::vector<TuneCandidate> tuner_candidates(const SketchConfig& cfg,
          {microkernel::Isa::Scalar, microkernel::Isa::Avx2,
           microkernel::Isa::Avx512}) {
       if (isa == resolved || !microkernel::supported(isa)) continue;
-      out.push_back({k, cfg.backend, model_bd, model_bn, isa});
+      out.push_back({k, model_bd, model_bn, isa});
     }
     // The schedule mode the env default does NOT resolve to, only at the
     // model blocks and only for parallel dispatch — sequential runs walk one
@@ -327,7 +283,7 @@ std::vector<TuneCandidate> tuner_candidates(const SketchConfig& cfg,
           resolve_schedule_mode(cfg.schedule) == ScheduleMode::Balanced
               ? ScheduleMode::Uniform
               : ScheduleMode::Balanced;
-      out.push_back({k, cfg.backend, model_bd, model_bn, cfg.isa, other});
+      out.push_back({k, model_bd, model_bn, cfg.isa, other});
     }
   }
   return out;
@@ -366,16 +322,11 @@ TuningCache TuningCache::load(const std::string& path) {
   for (const auto& [key, e] : entries->members()) {
     if (!e.is_object()) continue;  // stale entry: drop, re-tune on demand
     const perf::Json* kernel = e.find("kernel");
-    const perf::Json* backend = e.find("backend");
     const perf::Json* bd = e.find("block_d");
     const perf::Json* bn = e.find("block_n");
     Entry entry;
     if (kernel == nullptr || !kernel->is_string() ||
         !parse_kernel_token(kernel->as_string(), &entry.cand.kernel)) {
-      continue;
-    }
-    if (backend == nullptr || !backend->is_string() ||
-        !parse_backend_token(backend->as_string(), &entry.cand.backend)) {
       continue;
     }
     if (bd == nullptr || !bd->is_number() || bd->as_int() < 1 ||
@@ -436,7 +387,6 @@ bool TuningCache::save(const std::string& path) const {
   for (const auto& [key, e] : entries_) {
     perf::Json j = perf::Json::object();
     j["kernel"] = kernel_token(e.cand.kernel);
-    j["backend"] = backend_token(e.cand.backend);
     j["block_d"] = static_cast<long long>(e.cand.block_d);
     j["block_n"] = static_cast<long long>(e.cand.block_n);
     j["isa"] = microkernel::to_string(e.cand.isa);
@@ -460,8 +410,7 @@ SketchConfig resolve_tuning(const SketchConfig& cfg, const CscMatrix<T>& a,
   TuneDecision local;
   TuneDecision& dec = decision != nullptr ? *decision : local;
   dec = TuneDecision{};
-  dec.choice = {cfg.kernel, cfg.backend, cfg.block_d, cfg.block_n, cfg.isa,
-                cfg.schedule};
+  dec.choice = {cfg.kernel, cfg.block_d, cfg.block_n, cfg.isa, cfg.schedule};
   SketchConfig eff = cfg;
   eff.tune = TuneMode::Off;
   // Degenerate problems (nothing to sketch, or nothing to tune over) are
@@ -498,7 +447,7 @@ SketchConfig resolve_tuning(const SketchConfig& cfg, const CscMatrix<T>& a,
   if (cache.lookup(dec.key, &cached)) {
     perf::add(perf::Counter::TunerCacheHits, 1);
     perf::add_span("tuner/cache_hit", 0.0);
-    apply(eff, cached);
+    apply_candidate(eff, cached);
     dec.choice = cached;
     dec.source = TuneSource::Cache;
     return eff;

@@ -3,11 +3,13 @@
 // The §III-A model behind suggest_blocks() is open-loop: it predicts a good
 // (b_d, b_n) but never checks the prediction against this machine and this
 // sparsity pattern. The tuner closes the loop: it seeds a candidate set from
-// the model (± neighbors in b_d/b_n, both kernel variants, xoshiro vs.
-// philox backends), times each candidate on a small pilot sub-sketch, and
-// dispatches the winner. Winners persist in a JSON cache keyed by
-// (machine signature, matrix fingerprint) so repeated runs skip re-timing
-// entirely — a cache hit is O(1) plus one O(nnz) fingerprint pass.
+// the model (± neighbors in b_d/b_n, both kernel variants, ISA tiers and
+// schedule modes), times each candidate on a small pilot sub-sketch, and
+// dispatches the winner. The caller's distribution, backend and seed are
+// never part of the search: the tuner changes how S is applied, never which
+// generator produces it. Winners persist in a JSON cache keyed by (machine
+// signature, matrix fingerprint) so repeated runs skip re-timing entirely —
+// a cache hit is O(1) plus one O(nnz) fingerprint pass.
 //
 // Every decision is observable: tuner/* perf spans plus the
 // tuner_cache_hits / tuner_cache_misses / tuner_candidates_timed counters.
@@ -24,7 +26,6 @@ namespace rsketch {
 /// One dispatch candidate the tuner considers.
 struct TuneCandidate {
   KernelVariant kernel = KernelVariant::Kji;
-  RngBackend backend = RngBackend::XoshiroBatch;
   index_t block_d = 1;
   index_t block_n = 1;
   /// Micro-kernel ISA tier (dense/microkernel.hpp). Auto — the default and
@@ -36,10 +37,14 @@ struct TuneCandidate {
   /// is only pinned when it actually won a pilot.
   ScheduleMode schedule = ScheduleMode::Auto;
 
-  /// Compact stable label: "kji/xoshiro_batch/3000x500/auto/auto"
-  /// (kernel/backend/blocks/isa/schedule; cache + logs).
+  /// Compact stable label: "kji/3000x500/auto/auto"
+  /// (kernel/blocks/isa/schedule; cache + logs).
   std::string label() const;
 };
+
+/// Dispatch `cand` under `cfg`: copy its fields into cfg and turn tuning
+/// off. Everything else — the caller's dist, backend and seed — is kept.
+void apply_candidate(SketchConfig& cfg, const TuneCandidate& cand);
 
 /// Where the dispatched configuration came from.
 enum class TuneSource {
@@ -73,9 +78,8 @@ std::string matrix_fingerprint(const CscMatrix<T>& a, index_t d);
 
 /// Candidate set for the empirical search: the model suggestion ± one
 /// multiplicative neighbor in each of b_d and b_n, crossed with both kernel
-/// variants under cfg.backend, plus the model blocks under the alternate
-/// RNG backend family (xoshiro-batch vs. philox). Deduplicated; never empty
-/// for valid inputs.
+/// variants, plus the model blocks under the other supported ISA tiers and
+/// the other schedule mode. Deduplicated; never empty for valid inputs.
 template <typename T>
 std::vector<TuneCandidate> tuner_candidates(const SketchConfig& cfg,
                                             const CscMatrix<T>& a);
@@ -96,8 +100,10 @@ std::string tuning_cache_path();
 
 /// In-memory image of the persistent tuning cache (schema_version 1):
 ///   {"schema_version": 1, "entries": {"<machine>#<fingerprint>": {
-///      "kernel": "kji", "backend": "xoshiro_batch",
-///      "block_d": 3000, "block_n": 500, "pilot_seconds": 1.2e-3}}}
+///      "kernel": "kji", "block_d": 3000, "block_n": 500, "isa": "auto",
+///      "schedule": "auto", "pilot_seconds": 1.2e-3}}}
+/// Entries written before the backend axis was removed carry a "backend"
+/// field; load() ignores it, so those files still load.
 class TuningCache {
  public:
   /// Missing file → empty cache (ok()). Unreadable/corrupt/wrong-schema

@@ -4,79 +4,14 @@
 
 #include <omp.h>
 
-#ifdef __linux__
-#include <sched.h>
-#include <unistd.h>
-#endif
-
-#include <algorithm>
 #include <string>
 
 #include "perf/trace.hpp"
-#include "support/env.hpp"
 
 namespace rsketch {
 
 /// Number of threads the next parallel region will use.
 inline int max_threads() { return omp_get_max_threads(); }
-
-/// Thread-affinity placement policy (RSKETCH_PIN). Off by default: pinning
-/// helps NUMA first-touch locality but fights external schedulers, so it is
-/// strictly opt-in. See DESIGN.md §5b.
-enum class PinMode {
-  Off,      ///< leave placement to the OS / OpenMP runtime
-  Compact,  ///< thread t on core t — adjacent threads share caches
-  Scatter   ///< spread threads across the core range — maximize bandwidth
-};
-
-/// Cached read of RSKETCH_PIN (off | compact | scatter; warn-once otherwise).
-inline PinMode pin_mode() {
-  static const PinMode m = [] {
-    const std::string v = env_string("RSKETCH_PIN", "off");
-    if (v == "compact") return PinMode::Compact;
-    if (v == "scatter") return PinMode::Scatter;
-    if (v != "off") {
-      env_warn_once("RSKETCH_PIN", v.c_str(),
-                    "expected compact/scatter/off; pinning disabled");
-    }
-    return PinMode::Off;
-  }();
-  return m;
-}
-
-/// Best-effort affinity pin of the calling thread for a team of `team`
-/// threads. Returns false (leaving placement untouched) when the mode is
-/// Off, the platform has no affinity API, or the syscall is refused — the
-/// schedule is correct either way, so failure only costs locality.
-inline bool pin_this_thread(PinMode mode, int thread_num, int team) {
-  if (mode == PinMode::Off) return false;
-#ifdef __linux__
-  const long online = sysconf(_SC_NPROCESSORS_ONLN);
-  const int ncpu = online > 0 ? static_cast<int>(online) : 1;
-  const int stride =
-      mode == PinMode::Compact ? 1 : std::max(1, ncpu / std::max(1, team));
-  const int cpu = (thread_num * stride) % ncpu;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  return sched_setaffinity(0, sizeof set, &set) == 0;
-#else
-  (void)thread_num;
-  (void)team;
-  return false;
-#endif
-}
-
-/// Pin the calling OpenMP worker once per thread per process according to
-/// RSKETCH_PIN. One cached-enum branch when pinning is off.
-inline void maybe_pin_omp_thread(int team) {
-  const PinMode m = pin_mode();
-  if (m == PinMode::Off) return;
-  thread_local bool pinned = false;
-  if (pinned) return;
-  pinned = true;
-  pin_this_thread(m, omp_get_thread_num(), team);
-}
 
 /// Label the calling OpenMP thread in the trace timeline ("omp-worker-3").
 /// Call from inside a parallel region (or its loop body — one branch plus a

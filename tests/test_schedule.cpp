@@ -6,7 +6,8 @@
 // balanced schedules for every kernel × ISA tier × element type. The rest
 // of the file pins the partitioner itself: LPT quality on random costs,
 // determinism, mode resolution precedence, the skew bias on block
-// suggestions, and the pinning helpers degrading gracefully.
+// suggestions, and the cost model depending on the input alone — no machine
+// probe on the dispatch path.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "dense/microkernel.hpp"
+#include "perf/perf.hpp"
 #include "sketch/autotune.hpp"
 #include "sketch/schedule.hpp"
 #include "sketch/sketch.hpp"
@@ -373,16 +375,63 @@ TEST(ScheduleSkew, SingleDenseRowCapsBlockN) {
   EXPECT_EQ(bias_blocks_for_skew(s, flat, n, 4).block_n, n);
 }
 
-// --------------------------------------------------------------- pinning --
+// ------------------------------------------------------------ cost model --
 
-TEST(SchedulePin, OffNeverPinsAndOnDegradesGracefully) {
-  EXPECT_FALSE(pin_this_thread(PinMode::Off, 0, 4));
-  // Compact/scatter either pin (Linux) or report false (elsewhere); both
-  // must be safe to call from any thread with any team geometry.
-  (void)pin_this_thread(PinMode::Compact, 0, 1);
-  (void)pin_this_thread(PinMode::Scatter, 3, 4);
-  (void)pin_this_thread(PinMode::Scatter, 100, 4);  // id past the team
-  SUCCEED();
+/// A scaled-down jki_skewed benchmark input: 90% of the nonzeros in the
+/// middle third of the columns, so the balanced schedule has real work to
+/// move. Ten 60-column slabs by four row blocks (the last one 8 rows).
+struct SkewedJki {
+  CscMatrix<double> a = abnormal_b<double>(20000, 600, 2e-3, 0.9, 5);
+  SketchConfig cfg = [] {
+    SketchConfig c;
+    c.d = 200;
+    c.seed = 9;
+    c.kernel = KernelVariant::Jki;
+    c.block_d = 64;
+    c.block_n = 60;
+    c.parallel = ParallelOver::DBlocks;
+    c.schedule = ScheduleMode::Balanced;
+    return c;
+  }();
+};
+
+TEST(ScheduleCost, NoProbeOnDispatch) {
+  ThreadCountGuard guard(4);
+  SkewedJki in;
+  DenseMatrix<double> out(in.cfg.d, in.a.cols());
+  perf::set_enabled(true);
+  perf::reset();
+  sketch_into(in.cfg, in.a, out);
+  const perf::Snapshot dispatch = perf::snapshot();
+  perf::reset();
+  SketchConfig tuned = in.cfg;
+  autotune_blocks(tuned, in.a);
+  const perf::Snapshot tune = perf::snapshot();
+  perf::set_enabled(false);
+
+  // The balanced schedule was built, without timing the machine.
+  EXPECT_EQ(dispatch.spans.count("schedule/build"), 1u);
+  for (const auto& [name, stat] : dispatch.spans) {
+    EXPECT_NE(name.rfind("probe/", 0), 0u) << name << " ran on dispatch";
+  }
+  // The model tuner is where the probes live.
+  EXPECT_EQ(tune.spans.count("probe/stream"), 1u);
+  EXPECT_EQ(tune.spans.count("probe/h"), 1u);
+}
+
+TEST(ScheduleCost, EstimateIsAFunctionOfTheInput) {
+  ThreadCountGuard guard(4);
+  SkewedJki in;
+  // Block costs are integers d1·(width + columns + 2·nnz), so the LPT loads
+  // and hence max/mean are exact: the heaviest of the four threads carries
+  // kMaxLoad of kTotalLoad element-traffic units.
+  constexpr double kMaxLoad = 3494208.0;
+  constexpr double kTotalLoad = 13967600.0;
+  for (int rep = 0; rep < 3; ++rep) {
+    DenseMatrix<double> out(in.cfg.d, in.a.cols());
+    const SketchStats st = sketch_into(in.cfg, in.a, out);
+    EXPECT_EQ(st.schedule_imbalance_est, kMaxLoad / (kTotalLoad / 4.0));
+  }
 }
 
 }  // namespace

@@ -99,7 +99,6 @@ TEST(TuningCache, RoundTripPreservesDispatch) {
   TempFile file("cache_roundtrip");
   TuneCandidate cand;
   cand.kernel = KernelVariant::Jki;
-  cand.backend = RngBackend::Philox;
   cand.block_d = 333;
   cand.block_n = 77;
   cand.isa = microkernel::Isa::Scalar;
@@ -116,7 +115,6 @@ TEST(TuningCache, RoundTripPreservesDispatch) {
   TuneCandidate out;
   ASSERT_TRUE(reloaded.lookup("machine#fp", &out));
   EXPECT_EQ(out.kernel, cand.kernel);
-  EXPECT_EQ(out.backend, cand.backend);
   EXPECT_EQ(out.block_d, cand.block_d);
   EXPECT_EQ(out.block_n, cand.block_n);
   EXPECT_EQ(out.isa, cand.isa);
@@ -183,7 +181,7 @@ TEST(ResolveTuning, CachedModeWritesThenHitsWithoutRetiming) {
   EXPECT_EQ(second.candidates_timed, 0);
   EXPECT_EQ(second.choice.label(), first.choice.label());
   EXPECT_EQ(eff2.kernel, eff1.kernel);
-  EXPECT_EQ(eff2.backend, eff1.backend);
+  EXPECT_EQ(eff2.backend, cfg.backend);  // tuning never swaps the sampler
   EXPECT_EQ(eff2.block_d, eff1.block_d);
   EXPECT_EQ(eff2.block_n, eff1.block_n);
   EXPECT_EQ(snap.get(perf::Counter::TunerCacheHits), 1u);
@@ -230,7 +228,6 @@ TEST(ResolveTuning, EmpiricalWinnerSketchesBitwiseIdentical) {
   // config and with the hand-built one is bitwise identical.
   SketchConfig manual = base_config(360);
   manual.kernel = decision.choice.kernel;
-  manual.backend = decision.choice.backend;
   manual.block_d = decision.choice.block_d;
   manual.block_n = decision.choice.block_n;
 
