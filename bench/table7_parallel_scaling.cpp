@@ -121,9 +121,8 @@ int main() {
   // Skewed-nnz companion point: Abnormal_B concentrates 90% of the nonzeros
   // in the middle-third vertical block, so per-jb work is wildly uneven —
   // exactly the case the cost-model scheduler (sketch/schedule.hpp) exists
-  // for. Uniform vs. balanced head-to-head: the uniform contiguous split
-  // parks every thread behind the dense block's owner; the LPT schedule
-  // spreads the dense block's (i,j) pairs across the team.
+  // for: the LPT schedule spreads the dense block's (i,j) pairs across the
+  // team instead of parking every thread behind the dense block's owner.
   {
     const index_t sm = std::max<index_t>(20000 / scale, 64);
     const index_t sn = std::max<index_t>(3000 / scale, 16);
@@ -131,59 +130,43 @@ int main() {
     const index_t sd = sn;
     Table skewt(
         "Skewed nnz (Abnormal_B, 90% in middle third), Alg4 DBlocks, "
-        "uniform vs balanced schedule:");
-    skewt.set_header({"threads", "unif (s)", "unif imb", "bal (s)", "bal imb",
-                      "bal est"});
+        "LPT schedule:");
+    skewt.set_header({"threads", "time (s)", "imbalance", "est"});
     for (int threads : thread_counts) {
       ThreadCountGuard guard(threads);
-      std::vector<std::string> row{fmt_int(threads)};
-      SketchStats best_by_mode[2];
-      for (const ScheduleMode mode :
-           {ScheduleMode::Uniform, ScheduleMode::Balanced}) {
-        SketchConfig cfg;
-        cfg.d = sd;
-        cfg.dist = Dist::Uniform;
-        cfg.kernel = KernelVariant::Jki;
-        // Several i-blocks per vertical block, so the partitioner has real
-        // work units to place: LPT splits the dense middle block across the
-        // team while the uniform split pins it on one thread — visible in
-        // the imbalance columns and in the trace timeline.
-        cfg.block_d = std::max<index_t>(sd / 8, 16);
-        cfg.block_n = 300;
-        cfg.parallel = ParallelOver::DBlocks;
-        cfg.schedule = mode;
-        DenseMatrix<float> a_hat(sd, skew.cols());
-        SketchStats best;
-        best.total_seconds = 1e300;
-        for (int r = 0; r < reps; ++r) {
-          const auto st = sketch_into(cfg, skew, a_hat);
-          if (st.total_seconds < best.total_seconds) best = st;
-        }
-        report.timing("skewed/threads=" + std::to_string(threads) + "/alg4/" +
-                          to_string(mode),
-                      best.total_seconds, best);
-        best_by_mode[mode == ScheduleMode::Balanced ? 1 : 0] = best;
+      SketchConfig cfg;
+      cfg.d = sd;
+      cfg.dist = Dist::Uniform;
+      cfg.kernel = KernelVariant::Jki;
+      // Several i-blocks per vertical block, so the partitioner has real
+      // work units to place: LPT splits the dense middle block across the
+      // team — visible in the imbalance column and in the trace timeline.
+      cfg.block_d = std::max<index_t>(sd / 8, 16);
+      cfg.block_n = 300;
+      cfg.parallel = ParallelOver::DBlocks;
+      DenseMatrix<float> a_hat(sd, skew.cols());
+      SketchStats best;
+      best.total_seconds = 1e300;
+      for (int r = 0; r < reps; ++r) {
+        const auto st = sketch_into(cfg, skew, a_hat);
+        if (st.total_seconds < best.total_seconds) best = st;
       }
-      const SketchStats& u = best_by_mode[0];
-      const SketchStats& b = best_by_mode[1];
-      row.push_back(fmt_time(u.total_seconds));
-      row.push_back(u.thread_imbalance > 0.0 ? fmt_fixed(u.thread_imbalance, 2)
-                                             : "-");
-      row.push_back(fmt_time(b.total_seconds));
-      row.push_back(b.thread_imbalance > 0.0 ? fmt_fixed(b.thread_imbalance, 2)
-                                             : "-");
-      row.push_back(b.schedule_imbalance_est > 0.0
-                        ? fmt_fixed(b.schedule_imbalance_est, 2)
-                        : "-");
-      skewt.add_row(row);
+      report.timing("skewed/threads=" + std::to_string(threads) + "/alg4",
+                    best.total_seconds, best);
+      skewt.add_row(
+          {fmt_int(threads), fmt_time(best.total_seconds),
+           best.thread_imbalance > 0.0 ? fmt_fixed(best.thread_imbalance, 2)
+                                       : "-",
+           best.schedule_imbalance_est > 0.0
+               ? fmt_fixed(best.schedule_imbalance_est, 2)
+               : "-"});
     }
     skewt.set_footnote(
-        "Shape check (multi-core hosts): the balanced columns should track "
-        "the uniform setup2 scaling, not collapse to the dense block's "
-        "serial time. Measured imbalance (max/mean thread busy; needs "
-        "RSKETCH_PERF=1 or RSKETCH_TRACE) stays near 1 under the balanced "
-        "LPT schedule and grows under uniform; 'bal est' is the cost "
-        "model's predicted max/mean for the balanced partition.");
+        "Shape check (multi-core hosts): the time column should track the "
+        "setup2 scaling above, not collapse to the dense block's serial "
+        "time. Measured imbalance (max/mean thread busy; needs "
+        "RSKETCH_PERF=1 or RSKETCH_TRACE) stays near 1; 'est' is the cost "
+        "model's predicted max/mean for the LPT partition.");
     std::printf("%s\n", skewt.render().c_str());
   }
 

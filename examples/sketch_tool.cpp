@@ -24,7 +24,6 @@
 #include "perf/trace.hpp"
 #include "sketch/autotune.hpp"
 #include "sketch/batch.hpp"
-#include "sketch/schedule.hpp"
 #include "sketch/sketch.hpp"
 #include "sketch/tuner.hpp"
 #include "solvers/guarded.hpp"
@@ -48,8 +47,7 @@ int usage(const char* prog) {
                "  %s sketch --in A.mtx --out Ahat.mtx [--gamma G] "
                "[--dist pm1|uniform|gauss] [--kernel kji|jki] [--seed S]\n"
                "            [--tune off|model|empirical|cached] "
-               "[--isa auto|scalar|avx2|avx512] "
-               "[--schedule auto|uniform|balanced]\n"
+               "[--isa auto|scalar|avx2|avx512]\n"
                "  %s solve  --in A.mtx [--rhs b.txt] [--svd] [--gamma G] "
                "[--guarded] [--attempts N]\n"
                "  %s info   --in A.mtx\n"
@@ -70,9 +68,6 @@ int usage(const char* prog) {
                "(default degrade; docs/ROBUSTNESS.md)\n"
                "  --block-d D / --block-n N pin the outer blocks "
                "(bypasses autotuning; for scripted, reproducible runs)\n"
-               "  --schedule picks the block-to-thread schedule "
-               "(same as RSKETCH_SCHEDULE; never changes a bit of the "
-               "output; docs/DESIGN.md)\n"
                "exit codes: 0 ok, 1 I/O or internal error, 2 usage or input "
                "validation, 3 numeric failure, 4 deadline, 5 budget,\n"
                "  6 batch partial failure (some jobs failed; per-job status "
@@ -96,7 +91,7 @@ OnPressure parse_on_pressure(const std::string& s) {
 }
 
 /// The sketch flags `sketch` and `batch` share: --gamma, --dist, --kernel,
-/// --no-check, --on-pressure, --isa and --schedule, for a sketch of `a`.
+/// --no-check, --on-pressure and --isa, for a sketch of `a`.
 SketchConfig sketch_config_from_flags(const CliArgs& args,
                                       const CscMatrix<double>& a,
                                       std::uint64_t seed) {
@@ -114,10 +109,6 @@ SketchConfig sketch_config_from_flags(const CliArgs& args,
   const std::string isa = args.get("isa", "auto");
   require(microkernel::parse_isa(isa, &cfg.isa),
           "unknown --isa '" + isa + "' (want auto|scalar|avx2|avx512)");
-  const std::string schedule = args.get("schedule", "auto");
-  require(parse_schedule_mode(schedule, cfg.schedule),
-          "unknown --schedule '" + schedule +
-              "' (want auto|uniform|balanced)");
   return cfg;
 }
 
@@ -188,13 +179,11 @@ int cmd_sketch(const CliArgs& args, const CscMatrix<double>& a) {
     std::printf("\n");
   }
   std::printf(
-      "sketching: d=%lld, dist=%s, kernel=%s, blocks=(%lld, %lld), isa=%s, "
-      "schedule=%s\n",
+      "sketching: d=%lld, dist=%s, kernel=%s, blocks=(%lld, %lld), isa=%s\n",
       static_cast<long long>(cfg.d), to_string(cfg.dist).c_str(),
       to_string(cfg.kernel).c_str(), static_cast<long long>(cfg.block_d),
       static_cast<long long>(cfg.block_n),
-      microkernel::to_string(microkernel::resolve(cfg.isa)),
-      to_string(resolve_schedule_mode(cfg.schedule)).c_str());
+      microkernel::to_string(microkernel::resolve(cfg.isa)));
 
   perf::ReportBuilder report("sketch_tool");
   report.config("in", args.get("in", ""));
@@ -205,7 +194,6 @@ int cmd_sketch(const CliArgs& args, const CscMatrix<double>& a) {
   report.config("block_d", static_cast<long long>(cfg.block_d));
   report.config("block_n", static_cast<long long>(cfg.block_n));
   report.config("isa", microkernel::to_string(microkernel::resolve(cfg.isa)));
-  report.config("schedule", to_string(resolve_schedule_mode(cfg.schedule)));
   if (!tune.empty()) {
     report.config("tune", tune);
     report.config("tune_source", to_string(decision.source));

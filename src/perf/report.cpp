@@ -277,12 +277,8 @@ std::vector<std::string> validate_bench_report(const Json& doc) {
     return errs;
   }
   const Json* version = doc.find("schema_version");
-  long long schema = 0;
-  if (version == nullptr || !version->is_int() ||
-      (version->as_int() != 1 && version->as_int() != 2)) {
-    errs.push_back("schema_version missing or not in {1, 2}");
-  } else {
-    schema = version->as_int();
+  if (version == nullptr || !version->is_int() || version->as_int() != 2) {
+    errs.push_back("schema_version missing or not 2");
   }
   const Json* name = doc.find("name");
   if (name == nullptr || !name->is_string() || name->as_string().empty()) {
@@ -316,8 +312,8 @@ std::vector<std::string> validate_bench_report(const Json& doc) {
     check_counter(*counters, "elems_moved", errs);
   }
 
-  // Span entries: v1 carries {count, seconds}; v2 adds the latency-histogram
-  // summary, which must be internally consistent (a malformed histogram or a
+  // Span entries carry {count, seconds} plus the latency-histogram summary,
+  // which must be internally consistent (a malformed histogram or a
   // percentile inversion means the aggregation itself is broken).
   if (const Json* spans = doc.find("spans");
       spans != nullptr && spans->is_object()) {
@@ -333,7 +329,6 @@ std::vector<std::string> validate_bench_report(const Json& doc) {
                          " missing or not a nonnegative number");
         }
       }
-      if (schema < 2) continue;
       const Json* mn = s.find("min_seconds");
       const Json* mx = s.find("max_seconds");
       if (mn != nullptr && mx != nullptr && mn->is_number() &&

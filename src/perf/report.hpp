@@ -4,10 +4,10 @@
 // counters for one benchmark binary and serializes them under the schema
 // documented in docs/OBSERVABILITY.md (schema_version 2: spans carry
 // min/max/mean/p50/p95/p99 latency fields and parallel spans a per-thread
-// busy/imbalance summary; the validator also accepts legacy schema_version 1
-// documents). Builders are active only when perf::enabled() — with
-// RSKETCH_PERF unset every method is a cheap no-op, so the bench binaries
-// carry the reporting calls unconditionally.
+// busy/imbalance summary; the validator rejects every other version).
+// Builders are active only when perf::enabled() — with RSKETCH_PERF unset
+// every method is a cheap no-op, so the bench binaries carry the reporting
+// calls unconditionally.
 //
 // Output location: $RSKETCH_PERF_OUT (directory, created if missing) or the
 // current working directory.
@@ -85,11 +85,10 @@ class ReportBuilder {
   bool have_hw_ = false;
 };
 
-/// Validate a parsed BENCH_*.json document. Accepts schema_version 1 (legacy
-/// {count, seconds} spans) and 2 (latency-histogram spans + thread-imbalance
-/// fields, which are additionally checked for internal consistency:
-/// min <= max, p50 <= p95 <= p99, imbalance >= 1). Returns an empty vector
-/// when valid, else one message per violation.
+/// Validate a parsed BENCH_*.json document. Accepts only schema_version 2
+/// (latency-histogram spans + thread-imbalance fields, which are checked for
+/// internal consistency: min <= max, p50 <= p95 <= p99, imbalance >= 1).
+/// Returns an empty vector when valid, else one message per violation.
 std::vector<std::string> validate_bench_report(const Json& doc);
 
 }  // namespace rsketch::perf

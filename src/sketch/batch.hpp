@@ -231,7 +231,7 @@ class SketchBatch {
         "|" + std::to_string(int(cfg.kernel)) + "|" +
         std::to_string(int(cfg.backend)) + "|" + std::to_string(cfg.block_d) +
         "x" + std::to_string(cfg.block_n) + "|" +
-        std::to_string(int(cfg.isa)) + "|" + std::to_string(int(cfg.schedule));
+        std::to_string(int(cfg.isa));
     {
       std::lock_guard<std::mutex> lock(tuner_mu_);
       const auto it = tuner_memo_.find(key);

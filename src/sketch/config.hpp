@@ -1,6 +1,7 @@
 // Public configuration and statistics types for the sketching API.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -31,7 +32,7 @@ enum class ParallelOver {
   NBlocks      ///< threads split the n-dimension (columns of Â and A)
 };
 
-/// How sketch_into() chooses (kernel, blocks, isa, schedule) before
+/// How sketch_into() chooses (kernel, blocks, isa) before
 /// dispatching (sketch/tuner.hpp; see docs/AUTOTUNING.md). The caller's
 /// dist, backend and seed are never tuned.
 enum class TuneMode {
@@ -40,16 +41,6 @@ enum class TuneMode {
   Empirical,  ///< time a candidate set on a pilot sub-sketch, pick the winner
   Cached      ///< empirical, with the winner persisted in the tuning cache
               ///< keyed by (machine signature, matrix fingerprint)
-};
-
-/// How outer blocks are assigned to threads (sketch/schedule.hpp; see
-/// DESIGN.md §5b). Every mode executes each (i-block, j-block) pair exactly
-/// once over disjoint output panels, so Â is bitwise identical across modes —
-/// this is a pure load-balance knob.
-enum class ScheduleMode {
-  Auto,     ///< resolve via RSKETCH_SCHEDULE (default: balanced)
-  Uniform,  ///< contiguous equal-count chunks, like omp schedule(static)
-  Balanced  ///< LPT bin-packing over the nnz-aware per-block cost model
 };
 
 /// What a budget-bounded sketch does when the configured workspace does not
@@ -64,7 +55,6 @@ std::string to_string(KernelVariant k);
 std::string to_string(ParallelOver p);
 std::string to_string(TuneMode t);
 std::string to_string(OnPressure p);
-std::string to_string(ScheduleMode s);
 
 /// Full specification of a sketch Â = S·A.
 struct SketchConfig {
@@ -85,7 +75,7 @@ struct SketchConfig {
   /// turns it on. See docs/ROBUSTNESS.md.
   bool check_inputs = false;
   /// Autotuning mode: when not Off, sketch_into() resolves (kernel, block_d,
-  /// block_n, isa, schedule) through sketch/tuner.hpp before dispatching.
+  /// block_n, isa) through sketch/tuner.hpp before dispatching.
   /// The hot path pays one branch when Off. See docs/AUTOTUNING.md.
   TuneMode tune = TuneMode::Off;
   /// Micro-kernel ISA tier for the inner loops (dense/microkernel.hpp).
@@ -93,11 +83,6 @@ struct SketchConfig {
   /// via RSKETCH_ISA. Pinning a tier is for tests, tuning, and debugging —
   /// every tier produces bitwise-identical Â, so this is a pure speed knob.
   microkernel::Isa isa = microkernel::Isa::Auto;
-  /// Block-to-thread schedule (sketch/schedule.hpp). Auto resolves through
-  /// RSKETCH_SCHEDULE (balanced when unset). Like `isa`, this never changes
-  /// a bit of Â — blocks are disjoint and S columns are seed-checkpointed —
-  /// so pinning a mode is for experiments and regression harnesses.
-  ScheduleMode schedule = ScheduleMode::Auto;
 
   // --- Run control (support/run_control.hpp; docs/ROBUSTNESS.md) ---------
   /// Wall-clock deadline in milliseconds for this call (0 = none; the
@@ -121,6 +106,13 @@ struct SketchConfig {
   /// aligned_alloc/free per job. Not owned; must outlive the call. The
   /// staged OUTPUT is never arena-backed (it escapes to the caller).
   ArenaHook* arena = nullptr;
+
+  /// The b_d the driver actually runs: block_d clamped to d (and to 1 when
+  /// d is 0). Workspace sizing, the budget estimate and S's checkpoint
+  /// coordinates all use this, never the raw block_d.
+  index_t row_block() const {
+    return std::min(block_d, std::max<index_t>(d, 1));
+  }
 
   /// Throws invalid_argument_error when structurally invalid.
   void validate(index_t m, index_t n) const {
@@ -151,8 +143,8 @@ struct SketchStats {
   /// or tracing is on — measuring it costs one timer pair per kernel call.
   double thread_imbalance = 0.0;
   /// Predicted max/mean per-thread cost of the block schedule the kernels
-  /// executed (1.0 = model says perfectly balanced; 0 when the run was
-  /// sequential or the uniform schedule skipped the cost model). Compare
+  /// executed (1.0 = model says perfectly balanced; 0 only when the run was
+  /// sequential: one thread, or at most one schedulable block). Compare
   /// with `thread_imbalance` to judge the cost model: predicted vs measured.
   double schedule_imbalance_est = 0.0;
 

@@ -25,13 +25,14 @@ namespace rsketch {
 namespace {
 
 /// Per-thread working state: a private sampler (the sampler is stateful) and
-/// an aligned scratch vector v of b_d elements for the regenerated column.
-/// Counters accumulate thread-locally and are merged after the join.
+/// an aligned scratch vector v of cfg.row_block() elements for the
+/// regenerated column. Counters accumulate thread-locally and are merged
+/// after the join.
 template <typename T>
 struct ThreadCtx {
   ThreadCtx(const SketchConfig& cfg, bool instrument)
       : sampler(cfg.seed, cfg.dist, cfg.backend, cfg.isa),
-        v(cfg.block_d),
+        v(cfg.row_block()),
         instrument(instrument) {}
   SketchSampler<T> sampler;
   AlignedBuffer<T> v;
@@ -288,7 +289,7 @@ SketchStats run_outer_blocks(const SketchConfig& cfg, const K& kernel,
   using T = typename K::value_type;
   perf::Span span(region);
   const index_t d = cfg.d;
-  const index_t bd = std::min(cfg.block_d, std::max<index_t>(d, 1));
+  const index_t bd = cfg.row_block();
   const index_t n_iblocks = d == 0 ? 0 : ceil_div(d, bd);
   const index_t n_jblocks = kernel.jblocks();
   const bool slabs = kernel.slabs();
@@ -305,18 +306,17 @@ SketchStats run_outer_blocks(const SketchConfig& cfg, const K& kernel,
   CooperativeStop stop;
 
   const index_t n_items = slabs ? n_jblocks : n_iblocks * n_jblocks;
-  const BlockSchedule sched = build_block_schedule(
-      resolve_schedule_mode(cfg.schedule), nthreads, n_items, [&] {
-        std::vector<double> costs(static_cast<std::size_t>(n_items), 0.0);
-        for (index_t jb = 0; jb < n_jblocks; ++jb) {
-          const BlockWork w = kernel.work(jb);
-          for (index_t ib = 0; ib < n_iblocks; ++ib) {
-            costs[static_cast<std::size_t>(slabs ? jb : jb * n_iblocks + ib)] +=
-                w.cost(d1_of(ib));
-          }
-        }
-        return costs;
-      });
+  const BlockSchedule sched = build_block_schedule(nthreads, n_items, [&] {
+    std::vector<double> costs(static_cast<std::size_t>(n_items), 0.0);
+    for (index_t jb = 0; jb < n_jblocks; ++jb) {
+      const BlockWork w = kernel.work(jb);
+      for (index_t ib = 0; ib < n_iblocks; ++ib) {
+        costs[static_cast<std::size_t>(slabs ? jb : jb * n_iblocks + ib)] +=
+            w.cost(d1_of(ib));
+      }
+    }
+    return costs;
+  });
 
   Timer timer;
 #pragma omp parallel num_threads(nthreads) if (nthreads > 1)

@@ -6,63 +6,8 @@
 
 #include "perf/perf.hpp"
 #include "perf/trace.hpp"
-#include "support/env.hpp"
 
 namespace rsketch {
-
-bool parse_schedule_mode(const std::string& s, ScheduleMode& out) {
-  if (s == "auto") {
-    out = ScheduleMode::Auto;
-    return true;
-  }
-  if (s == "uniform") {
-    out = ScheduleMode::Uniform;
-    return true;
-  }
-  if (s == "balanced") {
-    out = ScheduleMode::Balanced;
-    return true;
-  }
-  return false;
-}
-
-ScheduleMode resolve_schedule_mode(ScheduleMode requested,
-                                   const std::string& env_value) {
-  if (requested != ScheduleMode::Auto) return requested;
-  if (!env_value.empty()) {
-    ScheduleMode m = ScheduleMode::Auto;
-    if (!parse_schedule_mode(env_value, m)) {
-      env_warn_once("RSKETCH_SCHEDULE", env_value.c_str(),
-                    "expected auto/uniform/balanced; using balanced");
-    } else if (m != ScheduleMode::Auto) {
-      return m;
-    }
-  }
-  return ScheduleMode::Balanced;
-}
-
-ScheduleMode resolve_schedule_mode(ScheduleMode requested) {
-  if (requested != ScheduleMode::Auto) return requested;
-  static const ScheduleMode from_env = resolve_schedule_mode(
-      ScheduleMode::Auto, env_string("RSKETCH_SCHEDULE", ""));
-  return from_env;
-}
-
-BlockSchedule build_uniform_schedule(index_t n_items, int nthreads) {
-  const int nt = std::max(nthreads, 1);
-  BlockSchedule s;
-  s.items.resize(static_cast<std::size_t>(std::max<index_t>(n_items, 0)));
-  std::iota(s.items.begin(), s.items.end(), index_t{0});
-  s.offsets.resize(static_cast<std::size_t>(nt) + 1);
-  const index_t base = n_items / nt;
-  const index_t rem = n_items % nt;
-  index_t off = 0;
-  for (int t = 0; t <= nt; ++t) {
-    s.offsets[static_cast<std::size_t>(t)] = off;
-    if (t < nt) off += base + (t < rem ? 1 : 0);
-  }
-  return s;
-}
 
 BlockSchedule build_balanced_schedule(const std::vector<double>& costs,
                                       int nthreads) {
@@ -109,15 +54,17 @@ BlockSchedule build_balanced_schedule(const std::vector<double>& costs,
 }
 
 BlockSchedule build_block_schedule(
-    ScheduleMode resolved, int nthreads, index_t n_items,
+    int nthreads, index_t n_items,
     const std::function<std::vector<double>()>& costs) {
   if (nthreads <= 1 || n_items <= 1) {
-    return build_uniform_schedule(n_items, nthreads);
+    BlockSchedule s;
+    s.items.resize(static_cast<std::size_t>(std::max<index_t>(n_items, 0)));
+    std::iota(s.items.begin(), s.items.end(), index_t{0});
+    s.offsets = {0, static_cast<index_t>(s.items.size())};
+    return s;
   }
   perf::Span span("schedule/build");
-  BlockSchedule s = resolved == ScheduleMode::Balanced
-                        ? build_balanced_schedule(costs(), nthreads)
-                        : build_uniform_schedule(n_items, nthreads);
+  BlockSchedule s = build_balanced_schedule(costs(), nthreads);
   if (perf::enabled()) {
     perf::add(perf::Counter::ScheduleBuilds, 1);
     perf::add(perf::Counter::ScheduleBlocks,

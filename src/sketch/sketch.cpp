@@ -54,15 +54,6 @@ std::string to_string(OnPressure p) {
   return "?";
 }
 
-std::string to_string(ScheduleMode s) {
-  switch (s) {
-    case ScheduleMode::Auto: return "auto";
-    case ScheduleMode::Uniform: return "uniform";
-    case ScheduleMode::Balanced: return "balanced";
-  }
-  return "?";
-}
-
 template <typename T>
 T sketch_post_scale(const SketchConfig& cfg) {
   double s = 1.0;
@@ -96,9 +87,9 @@ std::size_t sketch_workspace_estimate(const SketchConfig& cfg, index_t rows,
   const int nthreads =
       cfg.parallel == ParallelOver::Sequential ? 1 : omp_get_max_threads();
   // Per-thread regenerated-column scratch, sized exactly as ThreadCtx does
-  // (cfg.block_d unclamped) and rounded up as AlignedBuffer charges it.
+  // (the clamped b_d) and rounded up as AlignedBuffer charges it.
   std::size_t per_thread =
-      static_cast<std::size_t>(std::max<index_t>(cfg.block_d, 1)) * sizeof(T);
+      static_cast<std::size_t>(cfg.row_block()) * sizeof(T);
   per_thread = (per_thread + kCacheLineBytes - 1) / kCacheLineBytes *
                kCacheLineBytes;
   std::size_t total = static_cast<std::size_t>(nthreads) * per_thread;
@@ -165,6 +156,9 @@ template <typename T>
 std::uint64_t apply_budget_ladder(SketchConfig& eff, const CscMatrix<T>& a,
                                   RunControl& run) {
   if (!run.budget_armed()) return 0;
+  // Start from the b_d the driver runs, so the halve_block_d rung shrinks
+  // real scratch instead of rows that never existed.
+  eff.block_d = eff.row_block();
   const auto estimate = [&] {
     return sketch_workspace_estimate<T>(eff, a.rows(), a.cols(), a.nnz());
   };
@@ -270,7 +264,7 @@ SketchStats sketch_into(const SketchConfig& cfg, const CscMatrix<T>& a,
       {.rows = a.rows(),
        .cols = a.cols(),
        .check = [&] { require_valid(a); },
-       // Resolve (kernel, blocks, isa, schedule) through the tuner; the
+       // Resolve (kernel, blocks, isa) through the tuner; the
        // effective config carries tune == Off and the caller's backend.
        .tune = [&](const SketchConfig& c) { return resolve_tuning(c, a); },
        .stage = [&](DenseMatrix<T>& out) { fit(out, cfg.d, a.cols()); },
@@ -315,9 +309,9 @@ template <typename T>
 DenseMatrix<T> materialize_S(const SketchConfig& cfg, index_t m) {
   DenseMatrix<T> s(cfg.d, m);
   const index_t d = cfg.d;
-  // Reproduce the kernels' effective block size clamping so the checkpoint
-  // coordinates (i0, j) match exactly.
-  const index_t bd = std::min(cfg.block_d, std::max<index_t>(d, 1));
+  // The driver's clamped b_d, so the checkpoint coordinates (i0, j) match
+  // exactly.
+  const index_t bd = cfg.row_block();
   SketchSampler<T> sampler(cfg.seed, cfg.dist, cfg.backend);
   std::vector<T> v(static_cast<std::size_t>(bd));
   for (index_t j = 0; j < m; ++j) {

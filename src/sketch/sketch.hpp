@@ -40,7 +40,7 @@ T sketch_post_scale(const SketchConfig& cfg);
 
 /// Estimated workspace bytes sketch_into(cfg, a) allocates beyond the input
 /// and the output: the per-thread regenerated-column scratch (team size ×
-/// cfg.block_d, unclamped, as the kernels allocate it), plus the blocked-CSR
+/// cfg.row_block(), as the driver allocates it), plus the blocked-CSR
 /// conversion structure when cfg.kernel is Jki. This is what the budget
 /// degradation ladder compares against RunControl::remaining_bytes() and
 /// what the jki path pre-charges for the conversion (support/run_control.hpp;

@@ -34,7 +34,7 @@ SketchStats streaming_sketch(const SketchConfig& cfg, const CsrMatrix<T>& a,
                    RunControl* run) {
          perf::Span span("streaming_sketch");
          const index_t d = c.d;
-         const index_t bd = std::min(c.block_d, std::max<index_t>(d, 1));
+         const index_t bd = c.row_block();
          SketchSampler<T> sampler(c.seed, c.dist, c.backend);
          // The d-long column scratch is charged to an armed budget on
          // allocation; if even this does not fit, the call stops with

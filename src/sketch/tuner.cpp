@@ -16,7 +16,6 @@
 #include "perf/perf.hpp"
 #include "perf/trace.hpp"
 #include "sketch/autotune.hpp"
-#include "sketch/schedule.hpp"
 #include "sketch/sketch.hpp"
 #include "support/env.hpp"
 #include "support/run_control.hpp"
@@ -28,6 +27,13 @@ namespace {
 
 /// Serializes load-modify-save cycles on the cache file within a process.
 std::mutex g_cache_mutex;
+
+/// Pilot problem: the leading kPilotCols columns of A sketched to kPilotRows
+/// rows (each clamped to the problem), best of kPilotReps timed runs per
+/// candidate.
+constexpr index_t kPilotCols = 1024;
+constexpr index_t kPilotRows = 4096;
+constexpr int kPilotReps = 2;
 
 const char* kernel_token(KernelVariant k) {
   return k == KernelVariant::Kji ? "kji" : "jki";
@@ -65,8 +71,6 @@ std::pair<std::size_t, double> time_candidates(
     const SketchConfig& cfg, const CscMatrix<T>& pilot, index_t pilot_d,
     const std::vector<TuneCandidate>& cands) {
   perf::Span span("tuner/empirical");
-  const int reps = static_cast<int>(
-      std::max<long long>(1, env_int("RSKETCH_TUNE_REPS", 2)));
   SketchConfig pcfg = cfg;
   pcfg.tune = TuneMode::Off;
   pcfg.check_inputs = false;  // the slice is internal, already validated
@@ -98,7 +102,7 @@ std::pair<std::size_t, double> time_candidates(
   for (std::size_t c = 0; c < cands.size(); ++c) {
     apply_candidate(pcfg, cands[c]);
     // Label each pilot run with the candidate it timed, so the timeline shows
-    // which (kernel, blocks, isa, schedule) combination each slice belongs to.
+    // which (kernel, blocks, isa) combination each slice belongs to.
     // Interning the dynamic name is safe (the table owns it) and off the hot
     // path; skipped entirely when tracing is off.
     perf::trace::Scope cand_scope(
@@ -107,7 +111,7 @@ std::pair<std::size_t, double> time_candidates(
             : 0);
     double secs = 1e300;
     bool sub_deadline_hit = false;
-    for (int rep = 0; rep < reps; ++rep) {
+    for (int rep = 0; rep < kPilotReps; ++rep) {
       try {
         Timer t;
         sketch_into(pcfg, pilot, scratch);
@@ -142,8 +146,7 @@ void resolve_model(const SketchConfig& cfg, const CscMatrix<T>& a,
   perf::Span span("tuner/model");
   SketchConfig model = cfg;
   autotune_blocks(model, a);
-  dec.choice = {cfg.kernel, model.block_d, model.block_n, cfg.isa,
-                cfg.schedule};
+  dec.choice = {cfg.kernel, model.block_d, model.block_n, cfg.isa};
   dec.source = TuneSource::Model;
   apply_candidate(eff, dec.choice);
 }
@@ -155,11 +158,8 @@ template <typename T>
 void resolve_empirical(const SketchConfig& cfg, const CscMatrix<T>& a,
                        SketchConfig& eff, TuneDecision& dec) {
   const std::vector<TuneCandidate> cands = tuner_candidates(cfg, a);
-  const index_t pilot_n = std::min<index_t>(
-      a.cols(),
-      std::max<long long>(1, env_int("RSKETCH_TUNE_PILOT_N", 1024)));
-  const index_t pilot_d = std::min<index_t>(
-      cfg.d, std::max<long long>(1, env_int("RSKETCH_TUNE_PILOT_D", 4096)));
+  const index_t pilot_n = std::min(a.cols(), kPilotCols);
+  const index_t pilot_d = std::min(cfg.d, kPilotRows);
   const CscMatrix<T> pilot = pilot_slice(a, pilot_n);
   if (pilot.nnz() == 0) {
     resolve_model(cfg, a, eff, dec);
@@ -185,7 +185,7 @@ void resolve_empirical(const SketchConfig& cfg, const CscMatrix<T>& a,
 std::string TuneCandidate::label() const {
   std::ostringstream os;
   os << kernel_token(kernel) << "/" << block_d << "x" << block_n << "/"
-     << microkernel::to_string(isa) << "/" << to_string(schedule);
+     << microkernel::to_string(isa);
   return os.str();
 }
 
@@ -194,7 +194,6 @@ void apply_candidate(SketchConfig& cfg, const TuneCandidate& cand) {
   cfg.block_d = cand.block_d;
   cfg.block_n = cand.block_n;
   cfg.isa = cand.isa;
-  cfg.schedule = cand.schedule;
   cfg.tune = TuneMode::Off;
 }
 
@@ -222,7 +221,8 @@ std::string matrix_fingerprint(const CscMatrix<T>& a, index_t d) {
   // Exact (m, n) — they set the loop bounds — and coarse buckets for what
   // only matters logarithmically: d (power of two), density (decade), and
   // the row-degree pattern (quarters of cv, tenths of the fractions). Two
-  // problems sharing a fingerprint are expected to share a schedule.
+  // problems sharing a fingerprint are expected to share a winning
+  // configuration.
   const double rho = a.density();
   const long long d_lg =
       d > 0 ? std::llround(std::log2(static_cast<double>(d))) : 0;
@@ -274,16 +274,6 @@ std::vector<TuneCandidate> tuner_candidates(const SketchConfig& cfg,
           microkernel::Isa::Avx512}) {
       if (isa == resolved || !microkernel::supported(isa)) continue;
       out.push_back({k, model_bd, model_bn, isa});
-    }
-    // The schedule mode the env default does NOT resolve to, only at the
-    // model blocks and only for parallel dispatch — sequential runs walk one
-    // list regardless, so timing the axis would be pure noise.
-    if (cfg.parallel != ParallelOver::Sequential) {
-      const ScheduleMode other =
-          resolve_schedule_mode(cfg.schedule) == ScheduleMode::Balanced
-              ? ScheduleMode::Uniform
-              : ScheduleMode::Balanced;
-      out.push_back({k, model_bd, model_bn, cfg.isa, other});
     }
   }
   return out;
@@ -343,13 +333,6 @@ TuningCache TuningCache::load(const std::string& path) {
         continue;  // unknown tier token: stale entry, re-tune on demand
       }
     }
-    // Optional since the block scheduler landed, same contract as "isa".
-    if (const perf::Json* sched = e.find("schedule"); sched != nullptr) {
-      if (!sched->is_string() ||
-          !parse_schedule_mode(sched->as_string(), entry.cand.schedule)) {
-        continue;  // unknown mode token: stale entry, re-tune on demand
-      }
-    }
     if (const perf::Json* ps = e.find("pilot_seconds");
         ps != nullptr && ps->is_number()) {
       entry.pilot_seconds = ps->as_double();
@@ -390,7 +373,6 @@ bool TuningCache::save(const std::string& path) const {
     j["block_d"] = static_cast<long long>(e.cand.block_d);
     j["block_n"] = static_cast<long long>(e.cand.block_n);
     j["isa"] = microkernel::to_string(e.cand.isa);
-    j["schedule"] = to_string(e.cand.schedule);
     j["pilot_seconds"] = e.pilot_seconds;
     entries[key] = std::move(j);
   }
@@ -410,7 +392,7 @@ SketchConfig resolve_tuning(const SketchConfig& cfg, const CscMatrix<T>& a,
   TuneDecision local;
   TuneDecision& dec = decision != nullptr ? *decision : local;
   dec = TuneDecision{};
-  dec.choice = {cfg.kernel, cfg.block_d, cfg.block_n, cfg.isa, cfg.schedule};
+  dec.choice = {cfg.kernel, cfg.block_d, cfg.block_n, cfg.isa};
   SketchConfig eff = cfg;
   eff.tune = TuneMode::Off;
   // Degenerate problems (nothing to sketch, or nothing to tune over) are

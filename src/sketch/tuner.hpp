@@ -3,8 +3,8 @@
 // The §III-A model behind suggest_blocks() is open-loop: it predicts a good
 // (b_d, b_n) but never checks the prediction against this machine and this
 // sparsity pattern. The tuner closes the loop: it seeds a candidate set from
-// the model (± neighbors in b_d/b_n, both kernel variants, ISA tiers and
-// schedule modes), times each candidate on a small pilot sub-sketch, and
+// the model (± neighbors in b_d/b_n, both kernel variants and ISA tiers),
+// times each candidate on a small pilot sub-sketch, and
 // dispatches the winner. The caller's distribution, backend and seed are
 // never part of the search: the tuner changes how S is applied, never which
 // generator produces it. Winners persist in a JSON cache keyed by (machine
@@ -32,13 +32,10 @@ struct TuneCandidate {
   /// what old cache entries decode to — means "resolve at dispatch", so the
   /// tuner only pins a tier when a non-default one actually won a pilot.
   microkernel::Isa isa = microkernel::Isa::Auto;
-  /// Block-to-thread schedule (sketch/schedule.hpp), same contract as `isa`:
-  /// Auto resolves at dispatch, old cache entries decode to Auto, and a mode
-  /// is only pinned when it actually won a pilot.
-  ScheduleMode schedule = ScheduleMode::Auto;
 
-  /// Compact stable label: "kji/3000x500/auto/auto"
-  /// (kernel/blocks/isa/schedule; cache + logs).
+  /// Compact stable label: "kji/3000x500/auto" (kernel/blocks/isa; cache +
+  /// logs). The block schedule is not a candidate axis: it is always the
+  /// LPT partition of sketch/schedule.hpp.
   std::string label() const;
 };
 
@@ -72,14 +69,14 @@ TuneMode parse_tune_mode(const std::string& s);
 /// Bucketized fingerprint of a sketching problem: exact (m, n), log2 bucket
 /// of d, log10 bucket of density, and coarse row-degree pattern stats
 /// (analysis/pattern.hpp). Two problems with the same fingerprint are
-/// expected to share a winning schedule.
+/// expected to share a winning configuration.
 template <typename T>
 std::string matrix_fingerprint(const CscMatrix<T>& a, index_t d);
 
 /// Candidate set for the empirical search: the model suggestion ± one
 /// multiplicative neighbor in each of b_d and b_n, crossed with both kernel
-/// variants, plus the model blocks under the other supported ISA tiers and
-/// the other schedule mode. Deduplicated; never empty for valid inputs.
+/// variants, plus the model blocks under the other supported ISA tiers.
+/// Deduplicated; never empty for valid inputs.
 template <typename T>
 std::vector<TuneCandidate> tuner_candidates(const SketchConfig& cfg,
                                             const CscMatrix<T>& a);
@@ -101,9 +98,10 @@ std::string tuning_cache_path();
 /// In-memory image of the persistent tuning cache (schema_version 1):
 ///   {"schema_version": 1, "entries": {"<machine>#<fingerprint>": {
 ///      "kernel": "kji", "block_d": 3000, "block_n": 500, "isa": "auto",
-///      "schedule": "auto", "pilot_seconds": 1.2e-3}}}
-/// Entries written before the backend axis was removed carry a "backend"
-/// field; load() ignores it, so those files still load.
+///      "pilot_seconds": 1.2e-3}}}
+/// Entries written before the backend and schedule axes were removed carry
+/// "backend" and "schedule" fields; load() ignores both, so those files
+/// still load and hit.
 class TuningCache {
  public:
   /// Missing file → empty cache (ok()). Unreadable/corrupt/wrong-schema

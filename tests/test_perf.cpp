@@ -409,9 +409,10 @@ TEST(PerfReport, SchemaV2SpansCarryConsistentHistograms) {
   EXPECT_FALSE(perf::validate_bench_report(broken3).empty());
 }
 
-// Legacy schema_version 1 documents ({count, seconds} spans) stay valid, so
-// archived reports and old baselines keep passing the smoke gate.
-TEST(PerfReport, SchemaV1DocumentsStillValidate) {
+// Legacy schema_version 1 documents ({count, seconds} spans) are rejected:
+// every emitted report and committed baseline is v2, so a v1 document can
+// only be stale. The same document passes once it claims version 2.
+TEST(PerfReport, SchemaV1DocumentsAreRejected) {
   PerfToggle toggle(true);
   perf::ReportBuilder report("v1_unit");
   report.timing("t", 0.5);
@@ -420,6 +421,10 @@ TEST(PerfReport, SchemaV1DocumentsStillValidate) {
   // Strip the v2 span fields to mimic a genuine v1 document.
   perf::Json spans = perf::Json::object();
   doc["spans"] = spans;
+  const auto errs = perf::validate_bench_report(doc);
+  ASSERT_EQ(errs.size(), 1u);
+  EXPECT_NE(errs[0].find("schema_version"), std::string::npos);
+  doc["schema_version"] = perf::Json(2);
   EXPECT_TRUE(perf::validate_bench_report(doc).empty());
 }
 

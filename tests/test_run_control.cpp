@@ -318,7 +318,7 @@ TEST(RunControlBudget, PhiloxLadderMayHalveBlockD) {
   tight.workspace_budget_bytes = quarter_bytes;
   DenseMatrix<double> degraded;
   const auto stats = sketch_into(tight, a, degraded);
-  EXPECT_GE(stats.degradations, 2u);  // two halvings: 64 -> 32 -> 16
+  EXPECT_GE(stats.degradations, 2u);  // two halvings: 40 -> 20 -> 10
   expect_bitwise_equal(unbounded, degraded);
 }
 
@@ -336,6 +336,62 @@ TEST(RunControlBudget, OnPressureFailThrowsInsteadOfDegrading) {
     EXPECT_EQ(e.cause(), StopCause::BudgetExceeded);
   }
   expect_sentinel_intact(a_hat);
+}
+
+TEST(RunControlBudget, BudgetChargesOnlyTheRowsTheDriverRuns) {
+  // The driver clamps b_d to d, so a huge block_d costs no more scratch
+  // than block_d = d: a 1 MB budget fits with no degradation even under
+  // on_pressure=fail, and the result is bitwise the block_d = d sketch.
+  const auto a = random_sparse<double>(60, 30, 0.1, 3);
+  SketchConfig cfg;
+  cfg.d = 90;
+  cfg.block_d = 90;
+  DenseMatrix<double> exact;
+  sketch_into(cfg, a, exact);
+
+  SketchConfig huge = cfg;
+  huge.block_d = 1'000'000;
+  huge.workspace_budget_bytes = 1'000'000;
+  huge.on_pressure = OnPressure::Fail;
+  DenseMatrix<double> clamped;
+  const auto stats = sketch_into(huge, a, clamped);
+  EXPECT_EQ(stats.degradations, 0u);
+  expect_bitwise_equal(exact, clamped);
+  EXPECT_EQ(sketch_workspace_estimate<double>(huge, a.rows(), a.cols(),
+                                              a.nnz()),
+            sketch_workspace_estimate<double>(cfg, a.rows(), a.cols(),
+                                              a.nnz()));
+}
+
+TEST(RunControlBudget, DegradeLadderHalvesFromTheClampedBlockD) {
+  // The halve_block_d rung starts from the b_d the driver runs, so a huge
+  // block_d degrades exactly as block_d = d does: the same halvings to the
+  // same fit, and the same bits.
+  const auto a = test_matrix();
+  SketchConfig cfg;
+  cfg.d = 40;
+  cfg.backend = RngBackend::Philox;
+  cfg.kernel = KernelVariant::Kji;
+  cfg.parallel = ParallelOver::Sequential;
+  cfg.block_d = 40;
+  DenseMatrix<double> unbounded;
+  sketch_into(cfg, a, unbounded);
+
+  SketchConfig quarter = cfg;
+  quarter.block_d = 10;
+  cfg.workspace_budget_bytes = sketch_workspace_estimate<double>(
+      quarter, a.rows(), a.cols(), a.nnz());
+  DenseMatrix<double> from_d;
+  const auto want = sketch_into(cfg, a, from_d);
+  EXPECT_EQ(want.degradations, 2u);  // 40 -> 20 -> 10
+
+  SketchConfig huge = cfg;
+  huge.block_d = 1'000'000;
+  DenseMatrix<double> from_huge;
+  const auto got = sketch_into(huge, a, from_huge);
+  EXPECT_EQ(got.degradations, want.degradations);
+  expect_bitwise_equal(unbounded, from_d);
+  expect_bitwise_equal(unbounded, from_huge);
 }
 
 TEST(RunControlBudget, ExhaustedLadderThrowsBudgetExceeded) {

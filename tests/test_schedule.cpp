@@ -1,13 +1,13 @@
 // Cost-model-driven block scheduler (sketch/schedule.hpp, DESIGN.md §5b).
 //
-// The load-bearing invariant: the schedule is a pure load-balance knob.
-// Every mode executes every (i-block, j-block) exactly once into disjoint
-// output panels, so Â must be bitwise identical between uniform and
-// balanced schedules for every kernel × ISA tier × element type. The rest
-// of the file pins the partitioner itself: LPT quality on random costs,
-// determinism, mode resolution precedence, the skew bias on block
-// suggestions, and the cost model depending on the input alone — no machine
-// probe on the dispatch path.
+// The load-bearing invariant: the schedule only moves work between threads.
+// It executes every (i-block, j-block) exactly once into disjoint output
+// panels, so Â must be bitwise identical to the sequential walk at every
+// team size — and each team size gets a different LPT partition — for
+// every kernel × ISA tier × element type. The rest of the file pins the
+// partitioner itself: LPT quality on random costs, determinism, the skew
+// bias on block suggestions, and the cost model depending on the input
+// alone — no machine probe on the dispatch path.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -26,42 +26,6 @@
 
 namespace rsketch {
 namespace {
-
-// ------------------------------------------------------------ resolution --
-
-TEST(ScheduleResolve, ParseAcceptsExactlyThreeTokens) {
-  ScheduleMode m = ScheduleMode::Auto;
-  EXPECT_TRUE(parse_schedule_mode("auto", m));
-  EXPECT_EQ(m, ScheduleMode::Auto);
-  EXPECT_TRUE(parse_schedule_mode("uniform", m));
-  EXPECT_EQ(m, ScheduleMode::Uniform);
-  EXPECT_TRUE(parse_schedule_mode("balanced", m));
-  EXPECT_EQ(m, ScheduleMode::Balanced);
-  EXPECT_FALSE(parse_schedule_mode("", m));
-  EXPECT_FALSE(parse_schedule_mode("static", m));
-  EXPECT_FALSE(parse_schedule_mode("BALANCED", m));
-}
-
-TEST(ScheduleResolve, ExplicitRequestBeatsEveryEnv) {
-  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Uniform, "balanced"),
-            ScheduleMode::Uniform);
-  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Balanced, "uniform"),
-            ScheduleMode::Balanced);
-}
-
-TEST(ScheduleResolve, EnvThenBalancedDefault) {
-  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Auto, "uniform"),
-            ScheduleMode::Uniform);
-  // "auto" in the env falls through to the default.
-  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Auto, "auto"),
-            ScheduleMode::Balanced);
-  // Default is ON: no request, no env → balanced.
-  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Auto, ""),
-            ScheduleMode::Balanced);
-  // Invalid RSKETCH_SCHEDULE warns and degrades to the default.
-  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Auto, "bogus"),
-            ScheduleMode::Balanced);
-}
 
 // ----------------------------------------------------------- partitioner --
 
@@ -104,16 +68,6 @@ void expect_valid_partition(const BlockSchedule& s, index_t n) {
   }
 }
 
-TEST(SchedulePartition, UniformSplitIsContiguousAndEven) {
-  const BlockSchedule s = build_uniform_schedule(10, 4);
-  expect_valid_partition(s, 10);
-  EXPECT_EQ(s.threads(), 4);
-  // 10 = 3 + 3 + 2 + 2, remainder to the first threads.
-  const std::vector<index_t> want = {0, 3, 6, 8, 10};
-  EXPECT_EQ(s.offsets, want);
-  EXPECT_EQ(s.imbalance_est, 0.0);
-}
-
 TEST(SchedulePartition, LptQualityOnRandomCosts) {
   // Deterministic LCG: 256 costs in [0.5, 1.5] plus a handful of heavies —
   // the shape LPT is worst at. Greedy LPT guarantees max ≤ 4/3 · optimum;
@@ -141,7 +95,7 @@ TEST(SchedulePartition, LptQualityOnRandomCosts) {
 
 TEST(SchedulePartition, BalancedIsolatesOneDominantItem) {
   // One item worth more than everything else combined: LPT must give it a
-  // bin of its own while the uniform split would chain it with neighbors.
+  // bin of its own rather than chain it with neighbors.
   std::vector<double> costs(32, 1.0);
   costs[5] = 100.0;
   const BlockSchedule s = build_balanced_schedule(costs, 4);
@@ -176,15 +130,11 @@ TEST(SchedulePartition, BuildShortCircuitsSequentialAndDegenerate) {
     return std::vector<double>(8, 1.0);
   };
   // nthreads <= 1: trivial split, the cost model is never consulted.
-  BlockSchedule s = build_block_schedule(ScheduleMode::Balanced, 1, 8, costs);
+  BlockSchedule s = build_block_schedule(1, 8, costs);
   expect_valid_partition(s, 8);
   EXPECT_EQ(cost_calls, 0);
-  // Uniform: still no cost-model call at any thread count.
-  s = build_block_schedule(ScheduleMode::Uniform, 4, 8, costs);
-  expect_valid_partition(s, 8);
-  EXPECT_EQ(cost_calls, 0);
-  // Balanced with a real team pays for the estimator exactly once.
-  s = build_block_schedule(ScheduleMode::Balanced, 4, 8, costs);
+  // A real team pays for the estimator exactly once.
+  s = build_block_schedule(4, 8, costs);
   expect_valid_partition(s, 8);
   EXPECT_EQ(cost_calls, 1);
 }
@@ -217,72 +167,75 @@ std::vector<microkernel::Isa> supported_isas() {
 }
 
 template <typename T>
-void check_balanced_matches_uniform(KernelVariant kernel, ParallelOver mode) {
-  // Force a real team even on a small CI box: the scheduled walk is
-  // team-shrink-safe, so asking for 4 threads is valid at any core count.
-  ThreadCountGuard guard(4);
+void check_parallel_matches_sequential(KernelVariant kernel,
+                                       ParallelOver mode) {
   const auto a = random_sparse<T>(150, 60, 0.08, 31);
   for (const microkernel::Isa isa : supported_isas()) {
     SketchConfig cfg;
     cfg.d = 96;
     cfg.seed = 777;
     cfg.kernel = kernel;
-    cfg.parallel = mode;
     cfg.isa = isa;
     // Odd-ish blocks so block-boundary tails occur and the item count
     // comfortably exceeds the team size.
     cfg.block_d = 40;
     cfg.block_n = 17;
 
-    SketchConfig uniform = cfg;
-    uniform.schedule = ScheduleMode::Uniform;
-    DenseMatrix<T> u(cfg.d, a.cols());
-    const SketchStats us = sketch_into(uniform, a, u);
+    SketchConfig seq = cfg;
+    seq.parallel = ParallelOver::Sequential;
+    DenseMatrix<T> want(cfg.d, a.cols());
+    const SketchStats ss = sketch_into(seq, a, want);
+    // The sequential walk skips the cost model.
+    EXPECT_EQ(ss.schedule_imbalance_est, 0.0);
 
-    SketchConfig balanced = cfg;
-    balanced.schedule = ScheduleMode::Balanced;
-    DenseMatrix<T> b(cfg.d, a.cols());
-    const SketchStats bs = sketch_into(balanced, a, b);
-
-    expect_bitwise_equal(
-        u, b,
-        std::string("kernel=") + to_string(kernel) + " isa=" +
-            microkernel::to_string(isa));
-    EXPECT_EQ(us.samples_generated > 0, bs.samples_generated > 0);
-    // The balanced run consulted the cost model; uniform never does.
-    EXPECT_EQ(us.schedule_imbalance_est, 0.0);
-    EXPECT_GE(bs.schedule_imbalance_est, 0.0);
+    // Each team size gets its own LPT partition. Forcing the team is valid
+    // on a small CI box too: the scheduled walk is team-shrink-safe.
+    for (const int threads : {2, 3, 4}) {
+      ThreadCountGuard guard(threads);
+      SketchConfig par = cfg;
+      par.parallel = mode;
+      DenseMatrix<T> got(cfg.d, a.cols());
+      const SketchStats ps = sketch_into(par, a, got);
+      expect_bitwise_equal(
+          want, got,
+          std::string("kernel=") + to_string(kernel) + " isa=" +
+              microkernel::to_string(isa) + " threads=" +
+              std::to_string(threads));
+      EXPECT_EQ(ps.samples_generated > 0, ss.samples_generated > 0);
+      // A real team consulted the cost model.
+      EXPECT_GE(ps.schedule_imbalance_est, 1.0);
+    }
   }
 }
 
 TEST(ScheduleBitwise, KjiDBlocksFloat) {
-  check_balanced_matches_uniform<float>(KernelVariant::Kji,
-                                        ParallelOver::DBlocks);
+  check_parallel_matches_sequential<float>(KernelVariant::Kji,
+                                           ParallelOver::DBlocks);
 }
 TEST(ScheduleBitwise, KjiDBlocksDouble) {
-  check_balanced_matches_uniform<double>(KernelVariant::Kji,
-                                         ParallelOver::DBlocks);
+  check_parallel_matches_sequential<double>(KernelVariant::Kji,
+                                            ParallelOver::DBlocks);
 }
 TEST(ScheduleBitwise, KjiNBlocksDouble) {
-  check_balanced_matches_uniform<double>(KernelVariant::Kji,
-                                         ParallelOver::NBlocks);
+  check_parallel_matches_sequential<double>(KernelVariant::Kji,
+                                            ParallelOver::NBlocks);
 }
 TEST(ScheduleBitwise, JkiDBlocksFloat) {
-  check_balanced_matches_uniform<float>(KernelVariant::Jki,
-                                        ParallelOver::DBlocks);
+  check_parallel_matches_sequential<float>(KernelVariant::Jki,
+                                           ParallelOver::DBlocks);
 }
 TEST(ScheduleBitwise, JkiDBlocksDouble) {
-  check_balanced_matches_uniform<double>(KernelVariant::Jki,
-                                         ParallelOver::DBlocks);
+  check_parallel_matches_sequential<double>(KernelVariant::Jki,
+                                            ParallelOver::DBlocks);
 }
 TEST(ScheduleBitwise, JkiNBlocksDouble) {
-  check_balanced_matches_uniform<double>(KernelVariant::Jki,
-                                         ParallelOver::NBlocks);
+  check_parallel_matches_sequential<double>(KernelVariant::Jki,
+                                            ParallelOver::NBlocks);
 }
 
 TEST(ScheduleBitwise, SequentialMatchesParallelBalanced) {
   // The ladder invariant extends through the scheduler: thread count and
-  // schedule together still never change a bit.
+  // the schedule it implies together still never change a bit.
   ThreadCountGuard guard(4);
   const auto a = random_sparse<double>(200, 80, 0.05, 19);
   SketchConfig cfg;
@@ -295,7 +248,6 @@ TEST(ScheduleBitwise, SequentialMatchesParallelBalanced) {
   sketch_into(cfg, a, seq);
 
   cfg.parallel = ParallelOver::DBlocks;
-  cfg.schedule = ScheduleMode::Balanced;
   DenseMatrix<double> par(cfg.d, a.cols());
   sketch_into(cfg, a, par);
   expect_bitwise_equal(seq, par, "sequential vs balanced parallel");
@@ -313,7 +265,6 @@ TEST(ScheduleStop, CancelledRunLeavesOutputUntouched) {
   cfg.block_d = 16;
   cfg.block_n = 16;
   cfg.parallel = ParallelOver::DBlocks;
-  cfg.schedule = ScheduleMode::Balanced;
   RunControl rc;
   rc.request_cancel();
   cfg.control = &rc;
@@ -378,7 +329,7 @@ TEST(ScheduleSkew, SingleDenseRowCapsBlockN) {
 // ------------------------------------------------------------ cost model --
 
 /// A scaled-down jki_skewed benchmark input: 90% of the nonzeros in the
-/// middle third of the columns, so the balanced schedule has real work to
+/// middle third of the columns, so the LPT schedule has real work to
 /// move. Ten 60-column slabs by four row blocks (the last one 8 rows).
 struct SkewedJki {
   CscMatrix<double> a = abnormal_b<double>(20000, 600, 2e-3, 0.9, 5);
@@ -390,7 +341,6 @@ struct SkewedJki {
     c.block_d = 64;
     c.block_n = 60;
     c.parallel = ParallelOver::DBlocks;
-    c.schedule = ScheduleMode::Balanced;
     return c;
   }();
 };
@@ -409,7 +359,7 @@ TEST(ScheduleCost, NoProbeOnDispatch) {
   const perf::Snapshot tune = perf::snapshot();
   perf::set_enabled(false);
 
-  // The balanced schedule was built, without timing the machine.
+  // The LPT schedule was built, without timing the machine.
   EXPECT_EQ(dispatch.spans.count("schedule/build"), 1u);
   for (const auto& [name, stat] : dispatch.spans) {
     EXPECT_NE(name.rfind("probe/", 0), 0u) << name << " ran on dispatch";

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <tuple>
 
 #include "analysis/machine.hpp"
 #include "perf/perf.hpp"
@@ -86,6 +87,32 @@ TEST(TunerCandidates, InBoundsDedupedBothKernels) {
   EXPECT_TRUE(saw_jki);
 }
 
+TEST(TunerCandidates, OneCandidatePerKernelBlocksAndIsa) {
+  // The block schedule is not a tuner axis: a label is kernel/b_dxb_n/isa,
+  // and no two candidates share all four of those fields.
+  const auto a = random_sparse<double>(800, 200, 0.01, 5);
+  const SketchConfig cfg = base_config(600);
+  const auto cands = tuner_candidates(cfg, a);
+  ASSERT_FALSE(cands.empty());
+  std::set<std::tuple<KernelVariant, index_t, index_t, microkernel::Isa>>
+      seen;
+  for (const TuneCandidate& c : cands) {
+    EXPECT_TRUE(seen.insert({c.kernel, c.block_d, c.block_n, c.isa}).second)
+        << "duplicate " << c.label();
+    const std::string want =
+        std::string(c.kernel == KernelVariant::Kji ? "kji" : "jki") + "/" +
+        std::to_string(c.block_d) + "x" +
+        std::to_string(c.block_n) + "/" + microkernel::to_string(c.isa);
+    EXPECT_EQ(c.label(), want);
+  }
+  TuneCandidate jki;
+  jki.kernel = KernelVariant::Jki;
+  jki.block_d = 64;
+  jki.block_n = 32;
+  jki.isa = microkernel::Isa::Auto;
+  EXPECT_EQ(jki.label(), "jki/64x32/auto");
+}
+
 TEST(MatrixFingerprint, DeterministicAndSensitiveToShape) {
   const auto a = random_sparse<double>(1000, 250, 0.005, 3);
   const auto b = random_sparse<double>(1000, 251, 0.005, 3);
@@ -138,6 +165,50 @@ TEST(TuningCache, MissingIsaFieldDecodesToAutoInvalidDropsEntry) {
   ASSERT_TRUE(cache.lookup("k1", &out));
   EXPECT_EQ(out.isa, microkernel::Isa::Auto);
   EXPECT_FALSE(cache.lookup("k2", &out));
+}
+
+TEST(TuningCache, LegacyScheduleFieldIgnoredOnLoad) {
+  // Entries written while the block schedule was a tuner axis carry a
+  // "schedule" field. The field is ignored whatever its token, so every
+  // such entry still loads and hits, and a re-save drops it.
+  TempFile file("cache_schedule_compat");
+  std::ofstream(file.path())
+      << "{\"schema_version\": 1, \"entries\": {"
+         "\"k1\": {\"kernel\": \"kji\", \"block_d\": 10, \"block_n\": 11,"
+         " \"isa\": \"auto\", \"schedule\": \"uniform\","
+         " \"pilot_seconds\": 1e-3},"
+         "\"k2\": {\"kernel\": \"jki\", \"block_d\": 20, \"block_n\": 21,"
+         " \"isa\": \"auto\", \"schedule\": \"balanced\","
+         " \"pilot_seconds\": 1e-3},"
+         "\"k3\": {\"kernel\": \"kji\", \"block_d\": 30, \"block_n\": 31,"
+         " \"isa\": \"auto\", \"schedule\": \"bogus\","
+         " \"pilot_seconds\": 1e-3}}}";
+  TuningCache cache = TuningCache::load(file.path());
+  ASSERT_TRUE(cache.ok());
+  EXPECT_EQ(cache.size(), 3u);
+  const struct {
+    const char* key;
+    KernelVariant kernel;
+    index_t block_d;
+  } want[] = {{"k1", KernelVariant::Kji, 10},
+              {"k2", KernelVariant::Jki, 20},
+              {"k3", KernelVariant::Kji, 30}};
+  for (const auto& w : want) {
+    TuneCandidate out;
+    ASSERT_TRUE(cache.lookup(w.key, &out)) << w.key;
+    EXPECT_EQ(out.kernel, w.kernel) << w.key;
+    EXPECT_EQ(out.block_d, w.block_d) << w.key;
+    EXPECT_EQ(out.block_n, w.block_d + 1) << w.key;
+  }
+
+  ASSERT_TRUE(cache.save(file.path()));
+  std::ifstream in(file.path());
+  const std::string saved((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(saved.find("\"schedule\""), std::string::npos) << saved;
+  const TuningCache reloaded = TuningCache::load(file.path());
+  ASSERT_TRUE(reloaded.ok());
+  EXPECT_EQ(reloaded.size(), 3u);
 }
 
 TEST(TuningCache, CorruptFileLoadsEmptyNotOk) {
