@@ -273,6 +273,11 @@ struct DenseBlocks {
   }
 };
 
+/// Threads the driver plans for: the OpenMP team, or 1 when sequential.
+int team_size(const SketchConfig& cfg) {
+  return cfg.parallel == ParallelOver::Sequential ? 1 : omp_get_max_threads();
+}
+
 }  // namespace
 
 /// Algorithm 1's outer loop around one block kernel: builds the per-thread
@@ -295,8 +300,7 @@ SketchStats run_outer_blocks(const SketchConfig& cfg, const K& kernel,
   const bool slabs = kernel.slabs();
   const auto d1_of = [&](index_t ib) { return std::min(bd, d - ib * bd); };
 
-  const int nthreads =
-      cfg.parallel == ParallelOver::Sequential ? 1 : omp_get_max_threads();
+  const int nthreads = team_size(cfg);
   std::vector<ThreadCtx<T>> ctxs;
   ctxs.reserve(static_cast<std::size_t>(nthreads));
   for (int t = 0; t < nthreads; ++t) ctxs.emplace_back(cfg, instrument);
@@ -369,7 +373,19 @@ SketchStats sketch_blocked_kji(const SketchConfig& cfg, const CscMatrix<T>& a,
   cfg.validate(a.rows(), a.cols());
   require(a_hat.rows() == cfg.d && a_hat.cols() == a.cols(),
           "sketch_blocked_kji: a_hat must be d x n");
-  const index_t bn = std::min(cfg.block_n, std::max<index_t>(a.cols(), 1));
+  const index_t n = a.cols();
+  index_t bn = std::min(cfg.block_n, std::max<index_t>(n, 1));
+  // Fill the team: a grid with fewer schedulable items than threads gets a
+  // narrower b_n, so every thread owns at least one item. b_d (which fixes
+  // S) stays; b_n never changes a bit of Â (apply_budget_ladder in
+  // sketch.cpp).
+  const index_t nthreads = team_size(cfg);
+  const index_t n_iblocks = cfg.d == 0 ? 0 : ceil_div(cfg.d, cfg.row_block());
+  const index_t per_jblock =
+      cfg.parallel == ParallelOver::NBlocks ? 1 : n_iblocks;
+  if (n > 0 && per_jblock > 0 && per_jblock * ceil_div(n, bn) < nthreads) {
+    bn = ceil_div(n, ceil_div(nthreads, per_jblock));
+  }
   return run_outer_blocks(cfg, KjiBlocks<T>{cfg, a, a_hat, bn},
                           "sketch_blocked_kji", instrument, run);
 }

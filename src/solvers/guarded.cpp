@@ -154,8 +154,6 @@ GuardedSapResult<T> guarded_sap_solve(const CscMatrix<T>& a,
       cfg.dist = base.dist;
       cfg.backend = base.backend;
       cfg.kernel = base.kernel;
-      cfg.block_d = base.block_d;
-      cfg.block_n = base.block_n;
       cfg.parallel = base.parallel;
       cfg.normalize = true;
       // The sketch polls the same control between outer blocks and routes its

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <sstream>
 
 #include "dense/blas1.hpp"
+#include "perf/perf.hpp"
 #include "sketch/sketch.hpp"
 #include "solvers/qr.hpp"
 #include "solvers/svd.hpp"
@@ -145,6 +147,7 @@ SapResult<T> sap_solve(const CscMatrix<T>& a, const std::vector<T>& b,
           "sap_solve: rhs length mismatch");
   require(options.gamma > 1.0, "sap_solve: gamma must exceed 1");
 
+  perf::Span root("sap_solve");
   SapResult<T> out;
   MemoryTracker mem;
   Timer total;
@@ -156,22 +159,36 @@ SapResult<T> sap_solve(const CscMatrix<T>& a, const std::vector<T>& b,
   cfg.dist = options.dist;
   cfg.backend = options.backend;
   cfg.kernel = options.kernel;
-  cfg.block_d = options.block_d;
-  cfg.block_n = options.block_n;
   cfg.parallel = options.parallel;
   cfg.normalize = true;
 
   Timer phase;
-  DenseMatrix<T> a_hat(cfg.d, n);
-  sketch_into(cfg, a, a_hat);
+  DenseMatrix<T> a_hat;  // sized d×n by sketch_into
+  {
+    perf::Span span("sap/sketch");
+    sketch_into(cfg, a, a_hat);
+  }
   out.sketch_seconds = phase.seconds();
   mem.add("sketch A_hat", a_hat.memory_bytes());
 
   // --- 2. Factor Â into a right preconditioner N.
   phase.reset();
-  SapPreconditioner<T> precond = sap_build_preconditioner(
-      std::move(a_hat), options.factor, options.sigma_drop);
-  require(precond.rank > 0, "sap_solve: sketch is numerically zero");
+  SapPreconditioner<T> precond;
+  {
+    perf::Span span("sap/factor");
+    precond = sap_build_preconditioner(std::move(a_hat), options.factor,
+                                       options.sigma_drop);
+  }
+  if (!precond.usable()) {
+    // Fail here, as a numeric failure, rather than at the first zero pivot
+    // inside LSQR's triangular solve.
+    std::ostringstream os;
+    os << "sap_solve: the sketch gives no usable preconditioner (cond~"
+       << precond.cond_estimate
+       << "); A is numerically rank-deficient: use SapFactor::SVD (--svd) "
+          "or guarded_sap_solve (--guarded)";
+    throw numeric_error(os.str());
+  }
   mem.add(options.factor == SapFactor::QR ? "R factor" : "V*Sigma^+ factor",
           options.factor == SapFactor::QR ? precond.r.memory_bytes()
                                           : precond.n_mat.memory_bytes());
@@ -181,24 +198,25 @@ SapResult<T> sap_solve(const CscMatrix<T>& a, const std::vector<T>& b,
   // factor object); the peak above already accounted for the overlap.
   mem.release("sketch A_hat");
 
-  // --- 3. LSQR on the preconditioned operator A·N.
+  // --- 3. LSQR on the preconditioned operator A·N, then recover x = N·y.
   phase.reset();
-  std::vector<T> scratch_n;
-  LinearOperator<T> op = sap_preconditioned_operator(a, precond, scratch_n);
-  mem.add("LSQR workspace",
-          static_cast<std::size_t>(2 * m + 4 * n) * sizeof(T));
+  {
+    perf::Span span("sap/lsqr");
+    std::vector<T> scratch_n;
+    LinearOperator<T> op = sap_preconditioned_operator(a, precond, scratch_n);
+    mem.add("LSQR workspace",
+            static_cast<std::size_t>(2 * m + 4 * n) * sizeof(T));
 
-  LsqrOptions lo;
-  lo.tol = options.lsqr_tol;
-  lo.max_iter = options.lsqr_max_iter;
-  LsqrResult<T> res = lsqr(op, b.data(), lo);
-  out.iterations = res.iterations;
-  out.converged = res.converged;
+    LsqrOptions lo;
+    lo.tol = options.lsqr_tol;
+    lo.max_iter = options.lsqr_max_iter;
+    LsqrResult<T> res = lsqr(op, b.data(), lo);
+    out.iterations = res.iterations;
+    out.converged = res.converged;
+    out.x.assign(static_cast<std::size_t>(n), T{0});
+    sap_recover_solution(precond, res.x.data(), out.x.data());
+  }
   out.lsqr_seconds = phase.seconds();
-
-  // --- 4. Recover x = N·y.
-  out.x.assign(static_cast<std::size_t>(n), T{0});
-  sap_recover_solution(precond, res.x.data(), out.x.data());
 
   out.total_seconds = total.seconds();
   out.workspace_bytes = mem.peak_bytes();

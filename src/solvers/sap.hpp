@@ -31,12 +31,12 @@ struct SapOptions {
   double lsqr_tol = 1e-14;
   index_t lsqr_max_iter = 0;     ///< 0 → LSQR default
   double sigma_drop = 1e-12;     ///< SVD truncation threshold (relative)
-  /// Sketching engine settings (kernel/blocks/distribution/parallelism).
+  /// Sketching engine settings (kernel/distribution/parallelism). The
+  /// outer blocks are SketchConfig's defaults; the kji driver narrows b_n
+  /// to fill the thread team.
   Dist dist = Dist::Uniform;
   RngBackend backend = RngBackend::XoshiroBatch;
   KernelVariant kernel = KernelVariant::Kji;
-  index_t block_d = 3000;
-  index_t block_n = 500;
   ParallelOver parallel = ParallelOver::DBlocks;
 };
 
@@ -48,13 +48,18 @@ struct SapResult {
   index_t rank = 0;              ///< retained rank (SVD path; n for QR)
   double sketch_seconds = 0.0;   ///< time to form Â = S·A
   double factor_seconds = 0.0;   ///< QR / SVD time
-  double lsqr_seconds = 0.0;
+  double lsqr_seconds = 0.0;    ///< LSQR plus the recovery x = N·y
   double total_seconds = 0.0;
   std::size_t workspace_bytes = 0;  ///< Â + factor + iteration vectors
 };
 
 /// Solve min ‖Ax − b‖₂ by sketch-and-precondition. A must be tall (m ≥ n);
-/// transpose underdetermined inputs first (as the paper does).
+/// transpose underdetermined inputs first (as the paper does). Throws
+/// numeric_error before LSQR when the sketch yields no usable preconditioner
+/// (a zero or non-finite diagonal of R, or SVD rank 0): A is numerically
+/// rank-deficient, which SapFactor::SVD or guarded_sap_solve handle. Timed
+/// under the sap_solve span with sap/sketch, sap/factor and sap/lsqr
+/// children.
 template <typename T>
 SapResult<T> sap_solve(const CscMatrix<T>& a, const std::vector<T>& b,
                        const SapOptions& options);

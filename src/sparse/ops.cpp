@@ -1,29 +1,58 @@
 #include "sparse/ops.hpp"
 
+#include <omp.h>
+
+#include <algorithm>
 #include <cmath>
 
 namespace rsketch {
 
+namespace {
+
+/// rows [r0, r1) of y := beta*y + alpha*A*x: scales its own rows, then walks
+/// every column in order and finds the column's segment inside [r0, r1) by
+/// binary search (CSC rows are strictly ascending). Each y[i] therefore sees
+/// the same additions in the same order as a whole-matrix scatter.
+template <typename T>
+void spmv_rows(const CscMatrix<T>& a, const T* x, T* y, T alpha, T beta,
+               index_t r0, index_t r1) {
+  if (beta == T{0}) {
+    for (index_t i = r0; i < r1; ++i) y[i] = T{0};
+  } else if (beta != T{1}) {
+    for (index_t i = r0; i < r1; ++i) y[i] *= beta;
+  }
+  if (r0 == r1) return;
+  const bool all_rows = r0 == 0 && r1 == a.rows();
+  const index_t* const cp = a.col_ptr().data();
+  const index_t* const ri = a.row_idx().data();
+  const T* const vv = a.values().data();
+  for (index_t j = 0; j < a.cols(); ++j) {
+    const T ax = alpha * x[j];
+    if (ax == T{0}) continue;
+    const index_t* lo = ri + cp[j];
+    const index_t* hi = ri + cp[j + 1];
+    if (!all_rows) {
+      lo = std::lower_bound(lo, hi, r0);
+      hi = std::lower_bound(lo, hi, r1);
+    }
+    for (const index_t* p = lo; p < hi; ++p) y[*p] += ax * vv[p - ri];
+  }
+}
+
+}  // namespace
+
 template <typename T>
 void spmv(const CscMatrix<T>& a, const T* x, T* y, T alpha, T beta) {
   const index_t m = a.rows();
-  const index_t n = a.cols();
-  if (beta == T{0}) {
-    for (index_t i = 0; i < m; ++i) y[i] = T{0};
-  } else if (beta != T{1}) {
-    for (index_t i = 0; i < m; ++i) y[i] *= beta;
+  if (a.nnz() < kSpmvParallelNnz) {
+    spmv_rows(a, x, y, alpha, beta, 0, m);
+    return;
   }
-  const auto& cp = a.col_ptr();
-  const auto& ri = a.row_idx();
-  const auto& vv = a.values();
-  for (index_t j = 0; j < n; ++j) {
-    const T ax = alpha * x[j];
-    if (ax == T{0}) continue;
-    for (index_t p = cp[static_cast<std::size_t>(j)];
-         p < cp[static_cast<std::size_t>(j) + 1]; ++p) {
-      y[ri[static_cast<std::size_t>(p)]] +=
-          ax * vv[static_cast<std::size_t>(p)];
-    }
+#pragma omp parallel
+  {
+    const index_t t = omp_get_thread_num();
+    const index_t team = omp_get_num_threads();
+    spmv_rows(a, x, y, alpha, beta, m * t / team, m * (t + 1) / team);
   }
 }
 

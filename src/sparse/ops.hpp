@@ -8,10 +8,15 @@
 
 namespace rsketch {
 
+/// Nonzero count from which spmv() runs on the OpenMP team; below it the
+/// parallel region costs more than the scatter it splits.
+inline constexpr index_t kSpmvParallelNnz = index_t{1} << 14;
+
 /// y := beta*y + alpha*A*x, A in CSC. x has length A.cols(), y A.rows().
-/// OpenMP-parallel over columns is racy for CSC*vec, so this parallelizes
-/// only the scaling; the per-column scatter is sequential (LSQR's SpMV is
-/// not the bottleneck the paper targets).
+/// From kSpmvParallelNnz nonzeros on, each thread owns a contiguous range of
+/// rows of y and scatters only into it, in column order, so y is bitwise
+/// identical to the sequential scatter at every team size and no per-thread
+/// partial vectors are allocated.
 template <typename T>
 void spmv(const CscMatrix<T>& a, const T* x, T* y, T alpha = T{1},
           T beta = T{0});

@@ -134,5 +134,15 @@ TEST(MinNorm, InvalidInputsThrow) {
                invalid_argument_error);
 }
 
+// A row with no nonzeros makes R of the sketch of Aᵀ singular: a numeric
+// failure before LSQR, not a usage error from the triangular solve.
+TEST(MinimumNorm, DependentRowsAreANumericError) {
+  const auto a = transpose(CscMatrix<double>(
+      6, 3, {0, 4, 8, 8}, {0, 1, 2, 5, 0, 3, 4, 5},
+      {1.0, 2.0, -1.0, 3.0, 0.25, 1.5, 0.5, -2.0}));
+  const std::vector<double> b = {1.0, -1.0, 0.0};
+  EXPECT_THROW(sap_solve_minimum_norm(a, b, options()), numeric_error);
+}
+
 }  // namespace
 }  // namespace rsketch

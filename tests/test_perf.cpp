@@ -13,8 +13,12 @@
 #include "perf/perf_events.hpp"
 #include "perf/report.hpp"
 #include "sketch/sketch.hpp"
+#include "solvers/least_squares.hpp"
+#include "solvers/minimum_norm.hpp"
+#include "solvers/sap.hpp"
 #include "sparse/generate.hpp"
 #include "sparse/matrix_market.hpp"
+#include "sparse/ops.hpp"
 #include "support/timer.hpp"
 
 namespace rsketch {
@@ -198,6 +202,41 @@ TEST(PerfCore, MatrixMarketIoRecordsSpans) {
   ASSERT_EQ(snap.spans.count("io/write"), 1u);
   EXPECT_EQ(snap.spans.at("io/read").count, 1u);
   EXPECT_EQ(snap.spans.at("io/write").count, 2u);  // CSC + dense writer
+}
+
+/// (sketch + factor + lsqr) / root for one traced solve.
+double sap_child_coverage(const perf::Snapshot& snap, const char* root) {
+  double children = 0.0;
+  for (const char* child : {"sap/sketch", "sap/factor", "sap/lsqr"}) {
+    EXPECT_EQ(snap.spans.count(child), 1u) << child;
+    if (snap.spans.count(child) == 1) children += snap.spans.at(child).seconds;
+  }
+  EXPECT_EQ(snap.spans.count(root), 1u) << root;
+  return snap.spans.count(root) == 1 ? children / snap.spans.at(root).seconds
+                                     : 0.0;
+}
+
+// Both SAP solvers time their whole run under a root span whose three phase
+// children account for it.
+TEST(PerfCore, SapSolveSpansCoverTheSolve) {
+  SapOptions opt;
+  opt.lsqr_max_iter = 500;
+  {
+    const auto a = random_sparse<double>(6000, 120, 0.03, 71);
+    const auto b = make_least_squares_rhs(a, 72);
+    PerfToggle on(true);
+    sap_solve(a, b, opt);
+    EXPECT_GE(sap_child_coverage(perf::snapshot(), "sap_solve"), 0.95);
+  }
+  {
+    const auto a = random_sparse<double>(120, 6000, 0.03, 73);
+    std::vector<double> x(6000, 1.0), b(120);
+    spmv(a, x.data(), b.data());
+    PerfToggle on(true);
+    sap_solve_minimum_norm(a, b, opt);
+    EXPECT_GE(sap_child_coverage(perf::snapshot(), "sap_solve_minimum_norm"),
+              0.95);
+  }
 }
 
 TEST(PerfKernels, KjiCountersMatchSamplerAccounting) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "solvers/least_squares.hpp"
 #include "solvers/sap.hpp"
@@ -11,6 +12,7 @@
 #include "sparse/coo.hpp"
 #include "rng/xoshiro.hpp"
 #include "sparse/generate.hpp"
+#include "support/parallel.hpp"
 
 namespace rsketch {
 namespace {
@@ -18,8 +20,6 @@ namespace {
 SapOptions default_options() {
   SapOptions o;
   o.gamma = 2.0;
-  o.block_d = 256;
-  o.block_n = 64;
   o.lsqr_max_iter = 500;
   return o;
 }
@@ -161,6 +161,49 @@ TEST(Sap, DeterministicForFixedSeed) {
   const auto r2 = sap_solve(a, b, default_options());
   EXPECT_EQ(r1.iterations, r2.iterations);
   for (index_t j = 0; j < 16; ++j) EXPECT_DOUBLE_EQ(r1.x[j], r2.x[j]);
+}
+
+// An exactly empty column makes R singular. The solve must say so as a
+// numeric failure before LSQR starts, not as a usage error from the first
+// zero pivot of the triangular solve; the SVD factor still solves it.
+TEST(Sap, RankDeficientQrSketchIsANumericError) {
+  CscMatrix<double> a(6, 3, {0, 4, 8, 8}, {0, 1, 2, 5, 0, 3, 4, 5},
+                      {1.0, 2.0, -1.0, 3.0, 0.25, 1.5, 0.5, -2.0});
+  const std::vector<double> b = {1.0, 0.0, 2.0, -1.0, 0.5, 1.0};
+  try {
+    sap_solve(a, b, default_options());
+    FAIL() << "a singular R must throw";
+  } catch (const numeric_error& e) {
+    EXPECT_NE(std::string(e.what()).find("--svd"), std::string::npos)
+        << e.what();
+  }
+  auto opt = default_options();
+  opt.factor = SapFactor::SVD;
+  const auto res = sap_solve(a, b, opt);
+  EXPECT_EQ(res.rank, 2);
+  EXPECT_EQ(res.x[2], 0.0);
+}
+
+// The team-parallel sketch, A·v and R⁻ᵀ solve leave x's bits alone: the
+// 60000×500 (ρ = 1e-2, γ = 2) solve gives the same x at 1 to 4 threads.
+TEST(Sap, SolutionIsBitwiseIndependentOfTeamSize) {
+  const auto a = random_sparse<double>(60000, 500, 1e-2, 61);
+  const auto b = make_least_squares_rhs(a, 62);
+  SapOptions opt;
+  std::vector<double> want;
+  for (const int threads : {1, 2, 3, 4}) {
+    ThreadCountGuard guard(threads);
+    const auto res = sap_solve(a, b, opt);
+    ASSERT_TRUE(res.converged);
+    if (want.empty()) {
+      want = res.x;
+      continue;
+    }
+    EXPECT_EQ(std::memcmp(want.data(), res.x.data(),
+                          want.size() * sizeof(double)),
+              0)
+        << "threads=" << threads;
+  }
 }
 
 }  // namespace

@@ -253,6 +253,33 @@ TEST(ScheduleBitwise, SequentialMatchesParallelBalanced) {
   expect_bitwise_equal(seq, par, "sequential vs balanced parallel");
 }
 
+// A grid with fewer items than threads is refilled with a narrower b_n: the
+// (3000, 500) defaults give this 120-column, d = 200 sketch one item, yet
+// all four threads run blocks and Â keeps every bit of the sequential walk.
+TEST(ScheduleBitwise, OneItemKjiGridFillsTheTeam) {
+  ThreadCountGuard guard(4);
+  const auto a = random_sparse<double>(900, 120, 0.05, 41);
+  SketchConfig cfg;
+  cfg.d = 200;
+  cfg.seed = 4242;
+  cfg.parallel = ParallelOver::Sequential;
+  DenseMatrix<double> seq;
+  sketch_into(cfg, a, seq);
+
+  cfg.parallel = ParallelOver::DBlocks;
+  DenseMatrix<double> par;
+  perf::set_enabled(true);
+  perf::reset();
+  const SketchStats st = sketch_into(cfg, a, par);
+  const perf::Snapshot snap = perf::snapshot();
+  perf::set_enabled(false);
+  perf::reset();
+  expect_bitwise_equal(seq, par, "one-item grid at 4 threads");
+  EXPECT_EQ(st.threads_used, 4);
+  EXPECT_GE(st.schedule_imbalance_est, 1.0);
+  EXPECT_EQ(snap.get(perf::Counter::ScheduleBlocks), 4u);
+}
+
 // -------------------------------------------------------------- stopping --
 
 TEST(ScheduleStop, CancelledRunLeavesOutputUntouched) {

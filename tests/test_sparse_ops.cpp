@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "sparse/generate.hpp"
 #include "sparse/ops.hpp"
+#include "support/parallel.hpp"
 
 namespace rsketch {
 namespace {
@@ -113,6 +116,84 @@ TEST(EmptyRowsCols, NoopWhenNoneEmpty) {
   EXPECT_EQ(c.cols(), 10);
   const auto r = drop_empty_rows(a);
   EXPECT_EQ(r.rows(), 10);
+}
+
+/// The sequential column scatter spmv() must reproduce bit for bit.
+void scatter_spmv(const CscMatrix<double>& a, const double* x, double* y,
+                  double alpha, double beta) {
+  for (index_t i = 0; i < a.rows(); ++i) {
+    y[i] = beta == 0.0 ? 0.0 : (beta == 1.0 ? y[i] : y[i] * beta);
+  }
+  for (index_t j = 0; j < a.cols(); ++j) {
+    const double ax = alpha * x[j];
+    if (ax == 0.0) continue;
+    for (index_t p = a.col_ptr()[j]; p < a.col_ptr()[j + 1]; ++p) {
+      y[a.row_idx()[p]] += ax * a.values()[p];
+    }
+  }
+}
+
+/// Column j of `a` emptied (its nonzeros dropped).
+CscMatrix<double> without_col(const CscMatrix<double>& a, index_t j) {
+  std::vector<index_t> cp{0}, ri;
+  std::vector<double> vv;
+  for (index_t k = 0; k < a.cols(); ++k) {
+    if (k != j) {
+      for (index_t p = a.col_ptr()[k]; p < a.col_ptr()[k + 1]; ++p) {
+        ri.push_back(a.row_idx()[p]);
+        vv.push_back(a.values()[p]);
+      }
+    }
+    cp.push_back(static_cast<index_t>(ri.size()));
+  }
+  return CscMatrix<double>(a.rows(), a.cols(), std::move(cp), std::move(ri),
+                           std::move(vv));
+}
+
+// Row-split spmv against the sequential scatter, bit for bit, at every team
+// size: fewer rows than threads, a single row, empty columns, and nonzero
+// counts on both sides of the parallel cut-off.
+TEST(Spmv, RowSplitIsBitwiseTheSequentialScatter) {
+  const index_t cut = kSpmvParallelNnz;
+  const std::vector<std::pair<std::string, CscMatrix<double>>> shapes = {
+      {"m<T", random_sparse<double>(3, 4 * cut, 0.9, 21)},
+      {"one row", random_sparse<double>(1, 2 * cut, 0.8, 22)},
+      {"below cut", random_sparse<double>(400, 40, 0.5, 23)},
+      {"at cut", fixed_nnz_per_col<double>(4096, cut / 64, 64, 24)},
+      {"above cut", random_sparse<double>(6000, 90, 0.05, 25)},
+      {"empty cols", without_col(without_col(random_sparse<double>(
+                                                 5000, 60, 0.1, 26), 0), 37)},
+  };
+  for (const auto& [name, a] : shapes) {
+    if (name == "below cut") {
+      ASSERT_LT(a.nnz(), cut);
+    } else if (name == "at cut") {
+      ASSERT_EQ(a.nnz(), cut);
+    } else {
+      ASSERT_GT(a.nnz(), cut) << name;
+    }
+    std::vector<double> x(static_cast<std::size_t>(a.cols()));
+    for (index_t j = 0; j < a.cols(); ++j) x[j] = std::sin(0.37 * j) - 0.2;
+    x[1] = 0.0;  // a skipped column
+    std::vector<double> y0(static_cast<std::size_t>(a.rows()));
+    for (index_t i = 0; i < a.rows(); ++i) y0[i] = std::cos(0.11 * i);
+    for (const double alpha : {0.0, 1.0, 0.5}) {
+      for (const double beta : {0.0, 1.0, 0.5}) {
+        std::vector<double> want = y0;
+        scatter_spmv(a, x.data(), want.data(), alpha, beta);
+        for (const int threads : {1, 2, 3, 4}) {
+          ThreadCountGuard guard(threads);
+          std::vector<double> got = y0;
+          spmv(a, x.data(), got.data(), alpha, beta);
+          EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                                want.size() * sizeof(double)),
+                    0)
+              << name << " alpha=" << alpha << " beta=" << beta
+              << " threads=" << threads;
+        }
+      }
+    }
+  }
 }
 
 TEST(Spmv, ZeroDimensionEdgeCases) {
