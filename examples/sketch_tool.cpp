@@ -10,6 +10,7 @@
 // Input validation (structure + NaN/Inf scan) is ON by default here — files
 // come from outside the process, so corruption is a user-facing error, not a
 // precondition violation. --no-check restores the library's raw hot path.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -209,10 +210,17 @@ int cmd_sketch(const CliArgs& args, const CscMatrix<double>& a) {
     hw.stop();
     report.hardware(hw.read());
     report.timing("sketch", stats.total_seconds, stats);
+    report.config("block_n_run", static_cast<long long>(stats.block_n));
   }
   std::printf("done in %.3f s (%.2f GFlop/s, %llu samples on the fly)\n",
               stats.total_seconds, stats.gflops,
               static_cast<unsigned long long>(stats.samples_generated));
+  if (stats.block_n > 0 &&
+      stats.block_n != std::min(cfg.block_n, std::max<index_t>(a.cols(), 1))) {
+    // The kji driver narrows b_n to give every thread a block (and the
+    // budget ladder may change it); the bits are those of the printed blocks.
+    std::printf("ran b_n=%lld\n", static_cast<long long>(stats.block_n));
+  }
   if (cfg.deadline_ms > 0.0 || cfg.workspace_budget_bytes > 0 ||
       env_deadline_ms() > 0.0 || env_budget_bytes() > 0) {
     // Run-control summary: scripted callers grep this line (and the JSON

@@ -5,7 +5,7 @@
 
 #include "analysis/machine.hpp"
 #include "analysis/roofline.hpp"
-#include "support/parallel.hpp"
+#include "sketch/outer_blocking.hpp"
 
 namespace rsketch {
 
@@ -58,9 +58,7 @@ void autotune_blocks(SketchConfig& cfg, const CscMatrix<T>& a) {
   const double h = measure_h(cfg.dist, cfg.backend, cached_stream_result());
   BlockSuggestion s = suggest_blocks(a.rows(), a.cols(), cfg.d, a.density(),
                                      detect_cache_bytes(), h, sizeof(T));
-  const int nthreads =
-      cfg.parallel == ParallelOver::Sequential ? 1 : max_threads();
-  s = bias_blocks_for_skew(s, row_degree_stats(a), a.cols(), nthreads);
+  s = bias_blocks_for_skew(s, row_degree_stats(a), a.cols(), team_size(cfg));
   cfg.block_d = s.block_d;
   cfg.block_n = s.block_n;
 }

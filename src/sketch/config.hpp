@@ -147,6 +147,11 @@ struct SketchStats {
   /// sequential: one thread, or at most one schedulable block). Compare
   /// with `thread_imbalance` to judge the cost model: predicted vs measured.
   double schedule_imbalance_est = 0.0;
+  /// Column-block width the kernel ran: for kji, cfg.block_n clamped to n
+  /// and narrowed to give every thread a block when the grid is smaller than
+  /// the team (so cfg.block_n is an upper bound); for jki, the blocked CSR's
+  /// width; 0 for the right and dense sketches.
+  index_t block_n = 0;
 
   /// Degradation-ladder steps taken by this call under budget pressure
   /// (0 = ran with the requested configuration). Each step is also visible

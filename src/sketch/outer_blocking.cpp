@@ -22,6 +22,10 @@
 
 namespace rsketch {
 
+int team_size(const SketchConfig& cfg) {
+  return cfg.parallel == ParallelOver::Sequential ? 1 : omp_get_max_threads();
+}
+
 namespace {
 
 /// Per-thread working state: a private sampler (the sampler is stateful) and
@@ -123,6 +127,16 @@ SketchStats collect(std::vector<ThreadCtx<T>>& ctxs, const char* region,
   return stats;
 }
 
+/// Row blocks of the grid: ⌈d/b_d⌉.
+index_t row_blocks(const SketchConfig& cfg) {
+  return cfg.d == 0 ? 0 : ceil_div(cfg.d, cfg.row_block());
+}
+
+/// Schedulable items per column block: the whole slab when the kernel
+/// schedules slabs, else one (i-block, j-block) pair per row block.
+index_t items_per_jblock(const SketchConfig& cfg, bool slabs) {
+  return slabs ? 1 : row_blocks(cfg);
+}
 
 // ------------------------------------------------------------ kernels --
 //
@@ -167,6 +181,20 @@ struct KjiBlocks {
   const CscMatrix<T>& a;
   DenseMatrix<T>& out;
   index_t bn;
+
+  /// b_n is cfg.block_n, narrowed when the grid has fewer schedulable items
+  /// than threads so that every thread owns one. b_d (which fixes S) stays;
+  /// b_n never changes a bit of Â (apply_budget_ladder in sketch.cpp).
+  KjiBlocks(const SketchConfig& cfg, const CscMatrix<T>& a,
+            DenseMatrix<T>& out)
+      : cfg(cfg), a(a), out(out),
+        bn(std::min(cfg.block_n, std::max<index_t>(a.cols(), 1))) {
+    const index_t per_jblock = items_per_jblock(cfg, slabs());
+    const index_t team = team_size(cfg);
+    if (a.cols() > 0 && per_jblock > 0 && per_jblock * jblocks() < team) {
+      bn = ceil_div(a.cols(), ceil_div(team, per_jblock));
+    }
+  }
 
   index_t jblocks() const { return a.cols() == 0 ? 0 : ceil_div(a.cols(), bn); }
   bool slabs() const { return cfg.parallel == ParallelOver::NBlocks; }
@@ -273,11 +301,6 @@ struct DenseBlocks {
   }
 };
 
-/// Threads the driver plans for: the OpenMP team, or 1 when sequential.
-int team_size(const SketchConfig& cfg) {
-  return cfg.parallel == ParallelOver::Sequential ? 1 : omp_get_max_threads();
-}
-
 }  // namespace
 
 /// Algorithm 1's outer loop around one block kernel: builds the per-thread
@@ -295,7 +318,7 @@ SketchStats run_outer_blocks(const SketchConfig& cfg, const K& kernel,
   perf::Span span(region);
   const index_t d = cfg.d;
   const index_t bd = cfg.row_block();
-  const index_t n_iblocks = d == 0 ? 0 : ceil_div(d, bd);
+  const index_t n_iblocks = row_blocks(cfg);
   const index_t n_jblocks = kernel.jblocks();
   const bool slabs = kernel.slabs();
   const auto d1_of = [&](index_t ib) { return std::min(bd, d - ib * bd); };
@@ -309,7 +332,7 @@ SketchStats run_outer_blocks(const SketchConfig& cfg, const K& kernel,
       nthreads > 1 && (perf::enabled() || perf::trace::armed());
   CooperativeStop stop;
 
-  const index_t n_items = slabs ? n_jblocks : n_iblocks * n_jblocks;
+  const index_t n_items = items_per_jblock(cfg, slabs) * n_jblocks;
   const BlockSchedule sched = build_block_schedule(nthreads, n_items, [&] {
     std::vector<double> costs(static_cast<std::size_t>(n_items), 0.0);
     for (index_t jb = 0; jb < n_jblocks; ++jb) {
@@ -373,21 +396,11 @@ SketchStats sketch_blocked_kji(const SketchConfig& cfg, const CscMatrix<T>& a,
   cfg.validate(a.rows(), a.cols());
   require(a_hat.rows() == cfg.d && a_hat.cols() == a.cols(),
           "sketch_blocked_kji: a_hat must be d x n");
-  const index_t n = a.cols();
-  index_t bn = std::min(cfg.block_n, std::max<index_t>(n, 1));
-  // Fill the team: a grid with fewer schedulable items than threads gets a
-  // narrower b_n, so every thread owns at least one item. b_d (which fixes
-  // S) stays; b_n never changes a bit of Â (apply_budget_ladder in
-  // sketch.cpp).
-  const index_t nthreads = team_size(cfg);
-  const index_t n_iblocks = cfg.d == 0 ? 0 : ceil_div(cfg.d, cfg.row_block());
-  const index_t per_jblock =
-      cfg.parallel == ParallelOver::NBlocks ? 1 : n_iblocks;
-  if (n > 0 && per_jblock > 0 && per_jblock * ceil_div(n, bn) < nthreads) {
-    bn = ceil_div(n, ceil_div(nthreads, per_jblock));
-  }
-  return run_outer_blocks(cfg, KjiBlocks<T>{cfg, a, a_hat, bn},
-                          "sketch_blocked_kji", instrument, run);
+  const KjiBlocks<T> kernel(cfg, a, a_hat);
+  SketchStats stats = run_outer_blocks(cfg, kernel, "sketch_blocked_kji",
+                                       instrument, run);
+  stats.block_n = kernel.bn;
+  return stats;
 }
 
 template <typename T>
@@ -397,8 +410,10 @@ SketchStats sketch_blocked_jki(const SketchConfig& cfg, const BlockedCsr<T>& ab,
   cfg.validate(ab.rows(), ab.cols());
   require(a_hat.rows() == cfg.d && a_hat.cols() == ab.cols(),
           "sketch_blocked_jki: a_hat must be d x n");
-  return run_outer_blocks(cfg, JkiBlocks<T>{cfg, ab, a_hat},
-                          "sketch_blocked_jki", instrument, run);
+  SketchStats stats = run_outer_blocks(cfg, JkiBlocks<T>{cfg, ab, a_hat},
+                                       "sketch_blocked_jki", instrument, run);
+  stats.block_n = ab.num_blocks() > 0 ? ab.block_width(0) : 0;
+  return stats;
 }
 
 template <typename T>

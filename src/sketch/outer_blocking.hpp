@@ -15,6 +15,11 @@
 
 namespace rsketch {
 
+/// Threads the driver plans for: the OpenMP team, or 1 under
+/// ParallelOver::Sequential. The workspace estimate and the block heuristic
+/// size per-thread state by the same count.
+int team_size(const SketchConfig& cfg);
+
 /// Run Algorithm 1 with the kji kernel (Algorithm 3). `a_hat` must be
 /// pre-sized to d × n and is overwritten. When `instrument` is true the
 /// returned stats include sample_seconds (adds timer overhead, as the paper

@@ -1,7 +1,5 @@
 #include "sketch/sketch.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cmath>
 #include <vector>
@@ -84,8 +82,7 @@ std::size_t jki_convert_bytes(index_t rows, index_t cols, index_t block_n,
 template <typename T>
 std::size_t sketch_workspace_estimate(const SketchConfig& cfg, index_t rows,
                                       index_t cols, index_t nnz) {
-  const int nthreads =
-      cfg.parallel == ParallelOver::Sequential ? 1 : omp_get_max_threads();
+  const int nthreads = team_size(cfg);
   // Per-thread regenerated-column scratch, sized exactly as ThreadCtx does
   // (the clamped b_d) and rounded up as AlignedBuffer charges it.
   std::size_t per_thread =

@@ -183,10 +183,14 @@ SapResult<T> sap_solve(const CscMatrix<T>& a, const std::vector<T>& b,
     // Fail here, as a numeric failure, rather than at the first zero pivot
     // inside LSQR's triangular solve.
     std::ostringstream os;
-    os << "sap_solve: the sketch gives no usable preconditioner (cond~"
-       << precond.cond_estimate
-       << "); A is numerically rank-deficient: use SapFactor::SVD (--svd) "
-          "or guarded_sap_solve (--guarded)";
+    if (options.factor == SapFactor::QR) {
+      os << "sap_solve: R of the sketch is singular (cond~"
+         << precond.cond_estimate
+         << "); A is numerically rank-deficient: use SapFactor::SVD (--svd) "
+            "or guarded_sap_solve (--guarded)";
+    } else {
+      os << "sap_solve: the sketch is numerically zero (SVD rank 0)";
+    }
     throw numeric_error(os.str());
   }
   mem.add(options.factor == SapFactor::QR ? "R factor" : "V*Sigma^+ factor",

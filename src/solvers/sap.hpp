@@ -55,11 +55,11 @@ struct SapResult {
 
 /// Solve min ‖Ax − b‖₂ by sketch-and-precondition. A must be tall (m ≥ n);
 /// transpose underdetermined inputs first (as the paper does). Throws
-/// numeric_error before LSQR when the sketch yields no usable preconditioner
-/// (a zero or non-finite diagonal of R, or SVD rank 0): A is numerically
-/// rank-deficient, which SapFactor::SVD or guarded_sap_solve handle. Timed
-/// under the sap_solve span with sap/sketch, sap/factor and sap/lsqr
-/// children.
+/// numeric_error before LSQR when the sketch yields no usable preconditioner:
+/// on the QR path a zero or non-finite diagonal of R (A is numerically
+/// rank-deficient, which SapFactor::SVD or guarded_sap_solve handle), on the
+/// SVD path rank 0 (the sketch is numerically zero). Timed under the
+/// sap_solve span with sap/sketch, sap/factor and sap/lsqr children.
 template <typename T>
 SapResult<T> sap_solve(const CscMatrix<T>& a, const std::vector<T>& b,
                        const SapOptions& options);

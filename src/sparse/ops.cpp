@@ -44,7 +44,7 @@ void spmv_rows(const CscMatrix<T>& a, const T* x, T* y, T alpha, T beta,
 template <typename T>
 void spmv(const CscMatrix<T>& a, const T* x, T* y, T alpha, T beta) {
   const index_t m = a.rows();
-  if (a.nnz() < kSpmvParallelNnz) {
+  if (!spmv_splits_rows(a)) {
     spmv_rows(a, x, y, alpha, beta, 0, m);
     return;
   }

@@ -8,15 +8,26 @@
 
 namespace rsketch {
 
-/// Nonzero count from which spmv() runs on the OpenMP team; below it the
-/// parallel region costs more than the scatter it splits.
+/// spmv() splits the rows of y across the OpenMP team only when A has
+/// kSpmvParallelNnz nonzeros, enough to pay for the parallel region, and its
+/// columns hold kSpmvParallelColumnNnz of them on average: every thread walks
+/// all n columns (two binary searches each) to find its rows, so on short
+/// columns the walk costs more than the split saves. Per-call timings on both
+/// sides of each constant: bench/ablation_spmv_split and EXPERIMENTS.md.
 inline constexpr index_t kSpmvParallelNnz = index_t{1} << 14;
+inline constexpr index_t kSpmvParallelColumnNnz = 128;
+
+template <typename T>
+bool spmv_splits_rows(const CscMatrix<T>& a) {
+  return a.nnz() >= kSpmvParallelNnz &&
+         a.nnz() >= kSpmvParallelColumnNnz * a.cols();
+}
 
 /// y := beta*y + alpha*A*x, A in CSC. x has length A.cols(), y A.rows().
-/// From kSpmvParallelNnz nonzeros on, each thread owns a contiguous range of
-/// rows of y and scatters only into it, in column order, so y is bitwise
-/// identical to the sequential scatter at every team size and no per-thread
-/// partial vectors are allocated.
+/// When spmv_splits_rows(a), each thread owns a contiguous range of rows of
+/// y and scatters only into it, in column order, so y is bitwise identical
+/// to the sequential scatter at every team size and no per-thread partial
+/// vectors are allocated.
 template <typename T>
 void spmv(const CscMatrix<T>& a, const T* x, T* y, T alpha = T{1},
           T beta = T{0});

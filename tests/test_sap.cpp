@@ -182,6 +182,20 @@ TEST(Sap, RankDeficientQrSketchIsANumericError) {
   const auto res = sap_solve(a, b, opt);
   EXPECT_EQ(res.rank, 2);
   EXPECT_EQ(res.x[2], 0.0);
+
+  // An all-zero A leaves even the SVD factor with rank 0; the message then
+  // does not send the caller to the factor they already use.
+  const CscMatrix<double> zero(6, 3);
+  try {
+    sap_solve(zero, b, opt);
+    FAIL() << "an SVD rank of 0 must throw";
+  } catch (const numeric_error& e) {
+    EXPECT_NE(std::string(e.what()).find("numerically zero"),
+              std::string::npos)
+        << e.what();
+    EXPECT_EQ(std::string(e.what()).find("--svd"), std::string::npos)
+        << e.what();
+  }
 }
 
 // The team-parallel sketch, A·v and R⁻ᵀ solve leave x's bits alone: the

@@ -255,7 +255,8 @@ TEST(ScheduleBitwise, SequentialMatchesParallelBalanced) {
 
 // A grid with fewer items than threads is refilled with a narrower b_n: the
 // (3000, 500) defaults give this 120-column, d = 200 sketch one item, yet
-// all four threads run blocks and Â keeps every bit of the sequential walk.
+// all four threads run blocks, the stats report the narrowed b_n, and Â
+// keeps every bit of the sequential walk.
 TEST(ScheduleBitwise, OneItemKjiGridFillsTheTeam) {
   ThreadCountGuard guard(4);
   const auto a = random_sparse<double>(900, 120, 0.05, 41);
@@ -264,7 +265,7 @@ TEST(ScheduleBitwise, OneItemKjiGridFillsTheTeam) {
   cfg.seed = 4242;
   cfg.parallel = ParallelOver::Sequential;
   DenseMatrix<double> seq;
-  sketch_into(cfg, a, seq);
+  EXPECT_EQ(sketch_into(cfg, a, seq).block_n, 120);  // b_n clamped to n
 
   cfg.parallel = ParallelOver::DBlocks;
   DenseMatrix<double> par;
@@ -276,6 +277,7 @@ TEST(ScheduleBitwise, OneItemKjiGridFillsTheTeam) {
   perf::reset();
   expect_bitwise_equal(seq, par, "one-item grid at 4 threads");
   EXPECT_EQ(st.threads_used, 4);
+  EXPECT_EQ(st.block_n, 30);  // ⌈120 / 4⌉: the width that ran is reported
   EXPECT_GE(st.schedule_imbalance_est, 1.0);
   EXPECT_EQ(snap.get(perf::Counter::ScheduleBlocks), 4u);
 }

@@ -151,26 +151,34 @@ CscMatrix<double> without_col(const CscMatrix<double>& a, index_t j) {
 }
 
 // Row-split spmv against the sequential scatter, bit for bit, at every team
-// size: fewer rows than threads, a single row, empty columns, and nonzero
-// counts on both sides of the parallel cut-off.
+// size: fewer rows than threads, a single row, empty columns, and shapes on
+// both sides of each cut-off of spmv_splits_rows() (the nonzero count and the
+// average column length).
 TEST(Spmv, RowSplitIsBitwiseTheSequentialScatter) {
   const index_t cut = kSpmvParallelNnz;
-  const std::vector<std::pair<std::string, CscMatrix<double>>> shapes = {
-      {"m<T", random_sparse<double>(3, 4 * cut, 0.9, 21)},
-      {"one row", random_sparse<double>(1, 2 * cut, 0.8, 22)},
-      {"below cut", random_sparse<double>(400, 40, 0.5, 23)},
-      {"at cut", fixed_nnz_per_col<double>(4096, cut / 64, 64, 24)},
-      {"above cut", random_sparse<double>(6000, 90, 0.05, 25)},
-      {"empty cols", without_col(without_col(random_sparse<double>(
-                                                 5000, 60, 0.1, 26), 0), 37)},
+  const index_t col_cut = kSpmvParallelColumnNnz;
+  struct Shape {
+    std::string name;
+    CscMatrix<double> a;
+    bool splits;
   };
-  for (const auto& [name, a] : shapes) {
-    if (name == "below cut") {
-      ASSERT_LT(a.nnz(), cut);
-    } else if (name == "at cut") {
+  const std::vector<Shape> shapes = {
+      {"m<T", random_sparse<double>(3, 4 * cut, 0.9, 21), false},
+      {"one row", random_sparse<double>(1, 2 * cut, 0.8, 22), false},
+      {"below nnz cut", random_sparse<double>(400, 40, 0.5, 23), false},
+      {"at both cuts",
+       fixed_nnz_per_col<double>(4096, cut / col_cut, col_cut, 24), true},
+      {"short columns", random_sparse<double>(2000, 1000, 0.03, 27), false},
+      {"above both cuts", random_sparse<double>(6000, 90, 0.05, 25), true},
+      {"empty cols", without_col(without_col(random_sparse<double>(
+                                                 5000, 60, 0.1, 26), 0), 37),
+       true},
+  };
+  for (const auto& [name, a, splits] : shapes) {
+    ASSERT_EQ(spmv_splits_rows(a), splits) << name;
+    if (name == "at both cuts") {
       ASSERT_EQ(a.nnz(), cut);
-    } else {
-      ASSERT_GT(a.nnz(), cut) << name;
+      ASSERT_EQ(a.nnz(), col_cut * a.cols());
     }
     std::vector<double> x(static_cast<std::size_t>(a.cols()));
     for (index_t j = 0; j < a.cols(); ++j) x[j] = std::sin(0.37 * j) - 0.2;
