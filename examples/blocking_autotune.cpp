@@ -28,8 +28,9 @@ int main(int argc, char** argv) {
   const double h = measure_h(Dist::Uniform, RngBackend::XoshiroBatch, stream);
   const std::size_t cache = detect_cache_bytes();
   std::printf("machine: copy bandwidth %.1f GB/s, cache %.0f KiB, "
-              "measured h = %.3f\n",
-              stream.copy_gbps, static_cast<double>(cache) / 1024.0, h);
+              "measured h = %.3f (table h = %.3f)\n",
+              stream.copy_gbps, static_cast<double>(cache) / 1024.0, h,
+              model_rng_cost(Dist::Uniform, RngBackend::XoshiroBatch));
   std::printf("(h < 1: generating a sample is cheaper than a DRAM access — "
               "on-the-fly regeneration pays off)\n\n");
 
@@ -74,7 +75,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(best_bd),
               static_cast<long long>(best_bn), best_gf);
 
-  // 4. One-call convenience API.
+  // 4. One-call convenience API: no probe, h from the model_rng_cost table.
   SketchConfig cfg;
   cfg.d = d;
   autotune_blocks(cfg, a);

@@ -161,7 +161,7 @@ int cmd_sketch(const CliArgs& args, const CscMatrix<double>& a) {
     // Pinned blocks: model defaults fill whichever flag is absent, and the
     // (timing-dependent) empirical tuner is bypassed so scripted runs — the
     // degradation-ladder ctest in particular — are bitwise reproducible.
-    autotune_blocks(cfg, a);
+    if (block_d_flag <= 0 || block_n_flag <= 0) autotune_blocks(cfg, a);
     if (block_d_flag > 0) cfg.block_d = block_d_flag;
     if (block_n_flag > 0) cfg.block_n = block_n_flag;
   } else if (tune.empty()) {

@@ -24,9 +24,10 @@ struct StreamResult {
 /// the "probe/stream" span.
 StreamResult stream_benchmark(index_t elems, int reps);
 
-/// Process-wide memoized stream_benchmark(1<<21, 2) — the probe behind the
-/// model tuner's h (autotune_blocks) and the perf report's machine section,
-/// so calibration is paid once no matter how many consumers ask.
+/// Process-wide memoized stream_benchmark(1<<21, 2) for the perf report's
+/// machine section (RSKETCH_PERF_MACHINE=1) and the bench/layers ledger, so
+/// the pass is paid once no matter how many consumers ask. The model tuner
+/// does not use it: its h is the static model_rng_cost() table.
 const StreamResult& cached_stream_result();
 
 /// Generation throughput of one (distribution, backend) pair in

@@ -54,10 +54,10 @@ BlockSuggestion bias_blocks_for_skew(BlockSuggestion s,
 
 template <typename T>
 void autotune_blocks(SketchConfig& cfg, const CscMatrix<T>& a) {
-  // A short, cheap probe: one memoized STREAM pass + short-vector RNG timing.
-  const double h = measure_h(cfg.dist, cfg.backend, cached_stream_result());
-  BlockSuggestion s = suggest_blocks(a.rows(), a.cols(), cfg.d, a.density(),
-                                     detect_cache_bytes(), h, sizeof(T));
+  if (cfg.d < 1 || a.cols() < 1) return;
+  BlockSuggestion s = suggest_blocks(
+      a.rows(), a.cols(), cfg.d, a.density(), detect_cache_bytes(),
+      model_rng_cost(cfg.dist, cfg.backend), sizeof(T));
   s = bias_blocks_for_skew(s, row_degree_stats(a), a.cols(), team_size(cfg));
   cfg.block_d = s.block_d;
   cfg.block_n = s.block_n;

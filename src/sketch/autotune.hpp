@@ -21,10 +21,35 @@ struct BlockSuggestion {
 
 /// Suggest (b_d, b_n) for a d×m·m×n sketch over a matrix of the given
 /// density, a cache of `cache_bytes`, element size `elem_bytes`, and RNG
-/// cost h (relative to a memory access; measure with measure_h()).
+/// cost h (relative to a memory access; see model_rng_cost()).
 BlockSuggestion suggest_blocks(index_t m, index_t n, index_t d, double density,
                                std::size_t cache_bytes, double rng_cost_h,
                                std::size_t elem_bytes);
+
+/// The §III-A model's h for one (distribution, backend) pair: seconds per
+/// short-vector sample over seconds per 4-byte memory access, the quantity
+/// measure_h() times. A fixed table, not a probe: the values are medians of
+/// bench/ablation_stream_bandwidth (EXPERIMENTS.md has the runs and how to
+/// recalibrate), so the model's blocks depend on the input alone and no
+/// tuning path times the machine. Junk ignores the backend.
+constexpr double model_rng_cost(Dist dist, RngBackend backend) {
+  const auto pick = [backend](double batch, double scalar, double philox) {
+    switch (backend) {
+      case RngBackend::XoshiroBatch: return batch;
+      case RngBackend::Xoshiro: return scalar;
+      case RngBackend::Philox: return philox;
+    }
+    return philox;
+  };
+  switch (dist) {
+    case Dist::PmOne: return pick(1.1, 42.0, 32.0);
+    case Dist::Uniform: return pick(1.6, 9.1, 34.0);
+    case Dist::UniformScaled: return pick(1.5, 9.3, 45.0);
+    case Dist::Gaussian: return pick(200.0, 180.0, 290.0);
+    case Dist::Junk: return 1.4;
+  }
+  return pick(1.6, 9.1, 34.0);
+}
 
 /// Max-over-mean row degree above which a pattern counts as heavily skewed
 /// and bias_blocks_for_skew() intervenes.
@@ -40,8 +65,11 @@ BlockSuggestion bias_blocks_for_skew(BlockSuggestion s,
                                      const RowDegreeStats& stats, index_t n,
                                      int nthreads);
 
-/// Convenience: fill cfg.block_d / cfg.block_n for matrix `a` using the
-/// detected cache size and a representative h for cfg.dist/backend.
+/// Fill cfg.block_d / cfg.block_n for matrix `a` from the detected cache
+/// size and model_rng_cost(cfg.dist, cfg.backend) — no timing, so the blocks
+/// are a function of (A, d, dist, backend, sizeof(T), cache, team size).
+/// Leaves cfg's blocks alone when there is nothing to block (d < 1 or A has
+/// no columns), the same shapes resolve_tuning() dispatches verbatim.
 template <typename T>
 void autotune_blocks(SketchConfig& cfg, const CscMatrix<T>& a);
 

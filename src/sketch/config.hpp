@@ -37,7 +37,7 @@ enum class ParallelOver {
 /// dist, backend and seed are never tuned.
 enum class TuneMode {
   Off,        ///< use the caller's config verbatim (default; zero overhead)
-  Model,      ///< §III-A model via suggest_blocks() — one cheap machine probe
+  Model,      ///< §III-A model via suggest_blocks() — no probe, one O(nnz) pass
   Empirical,  ///< time a candidate set on a pilot sub-sketch, pick the winner
   Cached      ///< empirical, with the winner persisted in the tuning cache
               ///< keyed by (machine signature, matrix fingerprint)

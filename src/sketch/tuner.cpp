@@ -168,8 +168,8 @@ void resolve_empirical(const SketchConfig& cfg, const CscMatrix<T>& a,
   const auto [best, best_secs] = time_candidates(cfg, pilot, pilot_d, cands);
   if (best_secs >= 1e300) {
     // The tuning sub-deadline fired before any candidate finished: the model
-    // still costs only a machine probe, and the caller's own deadline is
-    // re-checked the moment the real sketch dispatches.
+    // times nothing, and the caller's own deadline is re-checked the moment
+    // the real sketch dispatches.
     resolve_model(cfg, a, eff, dec);
     return;
   }

@@ -1,8 +1,11 @@
 // Machine probes and the model-driven autotuner.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "analysis/machine.hpp"
 #include "sketch/autotune.hpp"
+#include "sketch/outer_blocking.hpp"
 #include "sparse/generate.hpp"
 
 namespace rsketch {
@@ -105,6 +108,74 @@ TEST(AutotuneBlocks, FillsConfig) {
   EXPECT_GE(cfg.block_d, 1);
   EXPECT_GE(cfg.block_n, 1);
   EXPECT_LE(cfg.block_n, 400);
+}
+
+TEST(AutotuneBlocks, IsAFunctionOfTheInput) {
+  // No probe: the same input gives the same blocks on every call, and they
+  // are the §III-A suggestion at the table's h.
+  const auto a = random_sparse<double>(3000, 300, 5e-3, 7);
+  SketchConfig cfg;
+  cfg.d = 900;
+  cfg.dist = Dist::Uniform;
+  cfg.backend = RngBackend::Philox;
+  const BlockSuggestion want = bias_blocks_for_skew(
+      suggest_blocks(a.rows(), a.cols(), cfg.d, a.density(),
+                     detect_cache_bytes(),
+                     model_rng_cost(cfg.dist, cfg.backend), sizeof(double)),
+      row_degree_stats(a), a.cols(), team_size(cfg));
+  for (int rep = 0; rep < 20; ++rep) {
+    SketchConfig c = cfg;
+    autotune_blocks(c, a);
+    EXPECT_EQ(c.block_d, want.block_d) << "call " << rep;
+    EXPECT_EQ(c.block_n, want.block_n) << "call " << rep;
+  }
+}
+
+TEST(AutotuneBlocks, LeavesDegenerateShapesAlone) {
+  // Nothing to block: the caller's blocks survive (suggest_blocks would
+  // reject n = 0 or d = 0).
+  SketchConfig cfg;
+  cfg.block_d = 17;
+  cfg.block_n = 5;
+  cfg.d = 4;
+  autotune_blocks(cfg, CscMatrix<double>(5, 0));
+  EXPECT_EQ(cfg.block_d, 17);
+  EXPECT_EQ(cfg.block_n, 5);
+  cfg.d = 0;
+  autotune_blocks(cfg, random_sparse<double>(20, 6, 0.3, 1));
+  EXPECT_EQ(cfg.block_d, 17);
+  EXPECT_EQ(cfg.block_n, 5);
+}
+
+TEST(ModelRngCost, TableIsOrderedAsMeasured) {
+  const Dist dists[] = {Dist::PmOne, Dist::Uniform, Dist::UniformScaled,
+                        Dist::Gaussian, Dist::Junk};
+  const RngBackend backends[] = {RngBackend::XoshiroBatch, RngBackend::Xoshiro,
+                                 RngBackend::Philox};
+  for (const Dist d : dists) {
+    for (const RngBackend b : backends) {
+      const double h = model_rng_cost(d, b);
+      EXPECT_TRUE(std::isfinite(h)) << to_string(d) << "/" << to_string(b);
+      EXPECT_GT(h, 0.0) << to_string(d) << "/" << to_string(b);
+    }
+  }
+  // Cheaper distributions cost less on the vectorized backends. (The scalar
+  // generator's ±1 path measures slower than its uniform one, so it is not
+  // asserted.)
+  for (const RngBackend b : {RngBackend::XoshiroBatch, RngBackend::Philox}) {
+    EXPECT_LT(model_rng_cost(Dist::PmOne, b), model_rng_cost(Dist::Uniform, b));
+    EXPECT_LT(model_rng_cost(Dist::Uniform, b),
+              model_rng_cost(Dist::Gaussian, b));
+  }
+  // Backends order by cost on the uniform streams. (±1 and Gaussian do not:
+  // there the per-sample transform, not the generator, sets the rate.)
+  for (const Dist d : {Dist::Uniform, Dist::UniformScaled}) {
+    EXPECT_LT(model_rng_cost(d, RngBackend::XoshiroBatch),
+              model_rng_cost(d, RngBackend::Xoshiro));
+    EXPECT_LT(model_rng_cost(d, RngBackend::Xoshiro),
+              model_rng_cost(d, RngBackend::Philox));
+  }
+  static_assert(model_rng_cost(Dist::PmOne, RngBackend::XoshiroBatch) > 0.0);
 }
 
 }  // namespace
