@@ -3,8 +3,15 @@
 // regime the blocked kernels use. Verifies the paper's claims that
 // counter-based generators (Philox/Random123) are several times slower than
 // Xoshiro, and that Gaussian transformation dominates generation cost.
+//
+// The fused/* cases time Algorithm 3's inner step as the kji kernel runs
+// it: one SketchSampler::fused_axpy per nonzero, a new (r, j) checkpoint
+// each call, the column of S generated straight into the update. Short d
+// exposes the per-nonzero fixed cost (seek + dispatch), d = 4000 the
+// steady-state ns/sample.
 #include <benchmark/benchmark.h>
 
+#include <utility>
 #include <vector>
 
 #include "rng/distributions.hpp"
@@ -21,6 +28,19 @@ void BM_Fill(benchmark::State& state, Dist dist, RngBackend backend) {
   for (auto _ : state) {
     sampler.fill(0, col++, v.data(), n);
     benchmark::DoNotOptimize(v.data());
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+
+void BM_Fused(benchmark::State& state, Dist dist) {
+  const index_t n = state.range(0);
+  SketchSampler<double> sampler(1234, dist, RngBackend::XoshiroBatch);
+  std::vector<double> out(static_cast<std::size_t>(n), 0.0);
+  index_t col = 0;
+  for (auto _ : state) {
+    sampler.fused_axpy(0, col++, 1e-9, out.data(), n);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
@@ -47,6 +67,17 @@ void Register() {
     benchmark::RegisterBenchmark(c.name, BM_Fill, c.dist, c.backend)
         ->Arg(3000)      // the b_d-sized fills of the blocked kernels
         ->Arg(10000);    // the paper's STREAM-comparison vector length
+  }
+  const std::pair<const char*, Dist> fused[] = {
+      {"fused/pm1/xoshiro_x8", Dist::PmOne},
+      {"fused/uniform/xoshiro_x8", Dist::Uniform}};
+  for (const auto& [name, dist] : fused) {
+    benchmark::RegisterBenchmark(name, BM_Fused, dist)
+        ->Arg(64)
+        ->Arg(96)
+        ->Arg(128)
+        ->Arg(1000)
+        ->Arg(4000);
   }
 }
 

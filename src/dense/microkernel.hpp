@@ -14,6 +14,7 @@
 // vector width and register blocking, not from FMA fusion.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "support/common.hpp"
@@ -50,14 +51,23 @@ struct Ops {
   /// The ys must be mutually distinct and must not alias v.
   void (*axpy_multi)(index_t n, const T* v, const T* alphas, T* const* ys,
                      index_t ncols) = nullptr;
-  /// v[0..n) := the chunked distribution transform of g's stream, for the
-  /// batch-chunked distributions (PmOne, Uniform, UniformScaled) only; the
+  /// v[0..n) := the chunked distribution transform of the batched xoshiro
+  /// stream at `checkpoint` (XoshiroBatch::checkpoint(r, j)), for the
+  /// batch-chunked distributions (PmOne, Uniform, UniformScaled) only. The
+  /// lane states are derived in registers; no XoshiroBatch is touched.
+  void (*fill_at)(std::uint64_t checkpoint, Dist dist, T* v,
+                  index_t n) = nullptr;
+  /// Fused generate-and-axpy: out[i] += a * s_i where s_i is the same stream
+  /// fill_at() would have produced — the column of S goes straight from the
+  /// generator lanes into the update without a scratch buffer. Same
+  /// distribution restriction and bitwise contract as fill_at(); for +-1 the
+  /// update adds +-a, which equals a * s_i exactly.
+  void (*fused_axpy_at)(std::uint64_t checkpoint, Dist dist, T a, T* out,
+                        index_t n) = nullptr;
+  /// fill_at() and fused_axpy_at() from g's current state instead of a
+  /// checkpoint, advancing g by the batches consumed (ceil(n / chunk)); the
   /// caller positions g with set_state() first.
   void (*fill)(XoshiroBatch& g, Dist dist, T* v, index_t n) = nullptr;
-  /// Fused generate-and-axpy: out[i] += a * s_i where s_i is the same stream
-  /// fill() would have produced — the column of S goes straight from the
-  /// generator lanes into the update without a scratch buffer. Same
-  /// distribution restriction and bitwise contract as fill().
   void (*fused_axpy)(XoshiroBatch& g, Dist dist, T a, T* out,
                      index_t n) = nullptr;
 };

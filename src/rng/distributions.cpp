@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <numbers>
+#include <type_traits>
 #include <vector>
 
 namespace rsketch {
@@ -88,22 +89,24 @@ void fill_uniform_scaled(Stream& s, T* v, index_t n) {
 
 template <typename T, typename Stream>
 void fill_pm1(Stream& s, T* v, index_t n) {
-  // One byte of entropy per sample (the paper's 8-bit ±1 path).
+  // One byte of entropy per sample (the paper's 8-bit ±1 path): bit 0 of
+  // byte b of a word set means +1. Branch-free, so the compiler vectorizes
+  // it: the inverted bit becomes the sign bit of 1.0.
+  using Bits =
+      std::conditional_t<sizeof(T) == 8, std::uint64_t, std::uint32_t>;
+  constexpr Bits kOne = std::bit_cast<Bits>(T{1});
+  constexpr int kSignShift = 8 * sizeof(T) - 1;
+  const auto put = [](std::uint64_t w, T* out, index_t m) {
+    const std::uint64_t neg = ~w;
+    for (index_t b = 0; b < m; ++b) {
+      const auto bit = static_cast<Bits>((neg >> (8 * b)) & 1u);
+      out[b] =
+          std::bit_cast<T>(static_cast<Bits>(kOne | (bit << kSignShift)));
+    }
+  };
   index_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t w = s.next();
-    for (int b = 0; b < 8; ++b) {
-      v[i + b] = (w & 1u) ? T{1} : T{-1};
-      w >>= 8;
-    }
-  }
-  if (i < n) {
-    std::uint64_t w = s.next();
-    for (; i < n; ++i) {
-      v[i] = (w & 1u) ? T{1} : T{-1};
-      w >>= 8;
-    }
-  }
+  for (; i + 8 <= n; i += 8) put(s.next(), v + i, 8);
+  if (i < n) put(s.next(), v + i, n - i);
 }
 
 template <typename T, typename Stream>
@@ -164,23 +167,23 @@ void SketchSampler<T>::fill_xoshiro(index_t r, index_t j, T* v, index_t n) {
 
 template <typename T>
 void SketchSampler<T>::fill_batch(index_t r, index_t j, T* v, index_t n) {
-  batch_.set_state(static_cast<std::uint64_t>(r),
-                   static_cast<std::uint64_t>(j));
+  const auto r64 = static_cast<std::uint64_t>(r);
+  const auto j64 = static_cast<std::uint64_t>(j);
   switch (dist_) {
     case Dist::PmOne:
     case Dist::Uniform:
     case Dist::UniformScaled:
       // Bulk chunked transforms, one 8-word batch per fixed-size chunk,
       // compiled per ISA tier (sketch/kernel_simd_impl.hpp) and dispatched
-      // through the resolved micro-kernel table — per-sample branching and
-      // per-word function calls are the difference between ~0.4 and several
-      // Gsamples/s, and the tier decides the vector width.
-      ops_->fill(batch_, dist_, v, n);
+      // through the resolved micro-kernel table. The tier seeks from the
+      // checkpoint word in registers; the tier decides the vector width.
+      ops_->fill_at(batch_.checkpoint(r64, j64), dist_, v, n);
       return;
     case Dist::Gaussian:
     case Dist::Junk: {
       // Gaussian stays on the generic path (Box–Muller dominates anyway —
       // which is exactly the paper's Fig. 4 point); Junk never reaches here.
+      batch_.set_state(r64, j64);
       BatchStream s(batch_);
       fill_dispatch(dist_, s, v, n);
       return;
@@ -193,9 +196,9 @@ void SketchSampler<T>::fused_axpy(index_t r, index_t j, T a, T* out,
                                   index_t n) {
   if (n <= 0) return;
   count_ += static_cast<std::uint64_t>(n);
-  batch_.set_state(static_cast<std::uint64_t>(r),
-                   static_cast<std::uint64_t>(j));
-  ops_->fused_axpy(batch_, dist_, a, out, n);
+  ops_->fused_axpy_at(batch_.checkpoint(static_cast<std::uint64_t>(r),
+                                        static_cast<std::uint64_t>(j)),
+                      dist_, a, out, n);
 }
 
 template <typename T>

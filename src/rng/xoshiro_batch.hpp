@@ -1,8 +1,9 @@
 // Batched ("SIMD") Xoshiro256++: eight independent lanes stepped in lockstep
-// inside plain loops the compiler auto-vectorizes (AVX2: 4×64-bit per vector;
-// AVX-512: 8). This mirrors the SIMD Xoshiro the paper uses via
-// RandomNumbers.jl / SIMDxorshift and is the fast path for filling the
-// regenerated column v of S.
+// (AVX2: 4×64-bit per vector; AVX-512: 8). This mirrors the SIMD Xoshiro the
+// paper uses via RandomNumbers.jl / SIMDxorshift. This class defines the
+// stream; the hot path that fills or updates the regenerated column v of S
+// runs the same lanes in the micro-kernel tiers' registers
+// (sketch/kernel_simd_impl.hpp), seeded from checkpoint().
 #pragma once
 
 #include <cstdint>
@@ -28,42 +29,52 @@ class XoshiroBatch {
 
   void reseed(std::uint64_t seed) {
     seed_ = seed;
-    derive_state(mix3(seed_, 0, 0));
+    set_state(0, 0);
   }
 
   /// O(1) checkpoint seek; see Xoshiro256pp::set_state.
   void set_state(std::uint64_t r, std::uint64_t j) {
-    derive_state(mix3(seed_, r, j));
+    derive_state(checkpoint(r, j));
   }
+
+  /// The word a (r, j) checkpoint seeds from: lane l's state is four
+  /// splitmix64 outputs started at checkpoint + golden * (l + 1). The
+  /// micro-kernels (dense/microkernel.hpp) seek from this word directly.
+  std::uint64_t checkpoint(std::uint64_t r, std::uint64_t j) const {
+    return mix3(seed_, r, j);
+  }
+
+  /// Word-major lane state: state()[k][l] is state word k of lane l. The
+  /// micro-kernels load it into registers and write it back.
+  using State = std::uint64_t[4][kLanes];
+  State& state() { return s_; }
+  const State& state() const { return s_; }
 
   /// Produce one 64-bit output per lane into out[0..kLanes).
   inline void next8(std::uint64_t* out) {
     // Plain elementwise loops over the 8 lanes; with -O2 -march=native GCC
     // vectorizes each into a couple of AVX instructions.
+    auto& [s0, s1, s2, s3] = s_;
     for (int l = 0; l < kLanes; ++l) {
-      out[l] = rotl(s0_[l] + s3_[l], 23) + s0_[l];
+      out[l] = rotl(s0[l] + s3[l], 23) + s0[l];
     }
     for (int l = 0; l < kLanes; ++l) {
-      const std::uint64_t t = s1_[l] << 17;
-      s2_[l] ^= s0_[l];
-      s3_[l] ^= s1_[l];
-      s1_[l] ^= s2_[l];
-      s0_[l] ^= s3_[l];
-      s2_[l] ^= t;
-      s3_[l] = rotl(s3_[l], 45);
+      const std::uint64_t t = s1[l] << 17;
+      s2[l] ^= s0[l];
+      s3[l] ^= s1[l];
+      s1[l] ^= s2[l];
+      s0[l] ^= s3[l];
+      s2[l] ^= t;
+      s3[l] = rotl(s3[l], 45);
     }
   }
 
-  /// Batch fill into caller-provided lanes: `nbatches` consecutive batch
-  /// steps written raw (lane-interleaved, untransformed) into
-  /// out[0 .. nbatches*kLanes). Exactly the words for_each_batch() hands its
-  /// callback — the SIMD micro-kernels consume the callback form directly;
-  /// this form serves callers that want the raw lane words (external
-  /// transforms, tests pinning the stream-consumption order).
+  /// `nbatches` consecutive next8() batches, written raw (lane-interleaved,
+  /// untransformed) into out[0 .. nbatches*kLanes) — the words the
+  /// micro-kernels' chunk transforms consume, for tests that pin the
+  /// stream-consumption order.
   void fill_lanes(std::uint64_t* out, index_t nbatches) {
-    for_each_batch(nbatches, [&](const std::uint64_t* w, index_t c) {
-      for (int l = 0; l < kLanes; ++l) out[c * kLanes + l] = w[l];
-    });
+    for (index_t c = 0; c < nbatches; ++c) next8(out + c * kLanes);
   }
 
   /// Fill out[0..n) with 64-bit outputs (lane-interleaved); the tail of the
@@ -81,51 +92,11 @@ class XoshiroBatch {
     }
   }
 
-  /// Bulk generation hot path: run `count` batch steps with the lane state
-  /// hoisted into locals (AVX-512: four zmm registers) instead of paying a
-  /// 64-word memory round-trip per next8() call. fn(words, c) receives the
-  /// c-th batch of 8 outputs. State is written back afterwards, so mixing
-  /// with next8() stays consistent.
-  template <typename Fn>
-  inline void for_each_batch(index_t count, Fn&& fn) {
-    alignas(64) std::uint64_t a0[kLanes], a1[kLanes], a2[kLanes], a3[kLanes];
-    for (int l = 0; l < kLanes; ++l) {
-      a0[l] = s0_[l];
-      a1[l] = s1_[l];
-      a2[l] = s2_[l];
-      a3[l] = s3_[l];
-    }
-    alignas(64) std::uint64_t out[kLanes];
-    for (index_t c = 0; c < count; ++c) {
-#pragma omp simd aligned(a0, a1, a2, a3, out : 64)
-      for (int l = 0; l < kLanes; ++l) {
-        out[l] = rotl(a0[l] + a3[l], 23) + a0[l];
-        const std::uint64_t t = a1[l] << 17;
-        a2[l] ^= a0[l];
-        a3[l] ^= a1[l];
-        a1[l] ^= a2[l];
-        a0[l] ^= a3[l];
-        a2[l] ^= t;
-        a3[l] = rotl(a3[l], 45);
-      }
-      fn(static_cast<const std::uint64_t*>(out), c);
-    }
-    for (int l = 0; l < kLanes; ++l) {
-      s0_[l] = a0[l];
-      s1_[l] = a1[l];
-      s2_[l] = a2[l];
-      s3_[l] = a3[l];
-    }
-  }
-
  private:
   void derive_state(std::uint64_t base) {
     for (int l = 0; l < kLanes; ++l) {
       std::uint64_t sm = base + 0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(l + 1);
-      s0_[l] = splitmix64_next(sm);
-      s1_[l] = splitmix64_next(sm);
-      s2_[l] = splitmix64_next(sm);
-      s3_[l] = splitmix64_next(sm);
+      for (auto& word : s_) word[l] = splitmix64_next(sm);
     }
   }
 
@@ -134,10 +105,7 @@ class XoshiroBatch {
   }
 
   std::uint64_t seed_ = 0;
-  alignas(64) std::uint64_t s0_[kLanes] = {};
-  alignas(64) std::uint64_t s1_[kLanes] = {};
-  alignas(64) std::uint64_t s2_[kLanes] = {};
-  alignas(64) std::uint64_t s3_[kLanes] = {};
+  alignas(64) State s_ = {};
 };
 
 }  // namespace rsketch

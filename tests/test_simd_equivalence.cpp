@@ -6,11 +6,15 @@
 // vector width — equality here is exact, not tolerance-based.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "dense/microkernel.hpp"
 #include "rng/distributions.hpp"
+#include "rng/xoshiro_batch.hpp"
 #include "sketch/sketch.hpp"
 #include "sparse/generate.hpp"
 
@@ -140,26 +144,150 @@ TEST(SimdEquivalence, FusedMatchesBufferedKji) {
   }
 }
 
-// Direct sampler check: fill() output per (r, j) checkpoint is the same bit
+// Direct sampler check, per (r, j) checkpoint: fill() output is the same bit
 // pattern on every tier, including non-chunked distributions that fall back
-// to the shared generic path.
-TEST(SimdEquivalence, SamplerFillMatchesAcrossIsas) {
-  constexpr index_t kN = 53;  // not a multiple of any chunk size
-  for (Dist dist :
-       {Dist::PmOne, Dist::Uniform, Dist::UniformScaled, Dist::Gaussian}) {
-    SketchSampler<double> ref(99, dist, RngBackend::XoshiroBatch,
-                              microkernel::Isa::Scalar);
-    std::vector<double> vref(kN);
-    ref.fill(3, 7, vref.data(), kN);
-    for (microkernel::Isa isa : supported_isas()) {
-      SketchSampler<double> s(99, dist, RngBackend::XoshiroBatch, isa);
-      std::vector<double> v(kN);
-      s.fill(3, 7, v.data(), kN);
-      EXPECT_EQ(0, std::memcmp(vref.data(), v.data(), kN * sizeof(double)))
-          << "dist=" << to_string(dist)
-          << " isa=" << microkernel::to_string(isa);
+// to the shared generic path; fused_axpy() is the same on every tier and
+// equals fill() followed by the tier's axpy. Lengths cover every tail shape
+// of the 16- and 64-sample chunks and of 8- and 16-lane groups.
+constexpr index_t kTailLengths[] = {1,  7,  8,   15,  16,  17,  53,  63,
+                                    64, 65, 96, 127, 128, 129, 1000};
+constexpr index_t kCheckpoints[][2] = {
+    {3, 7}, {0, 0}, {4096, 1}, {index_t{1} << 40, (index_t{1} << 35) + 5}};
+
+/// Equal bit for bit, except that a NaN only has to meet a NaN: for +-1,
+/// the fused update flips a's sign bit where the buffered one multiplies by
+/// -1.0, and the two differ only in the sign of a NaN.
+template <typename T>
+void expect_same_values(const std::vector<T>& want, const std::vector<T>& got,
+                        const std::string& what) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (std::isnan(want[i]) || std::isnan(got[i])) {
+      EXPECT_TRUE(std::isnan(want[i]) && std::isnan(got[i]))
+          << what << " entry " << i << ": " << want[i] << " vs " << got[i];
+    } else {
+      EXPECT_EQ(0, std::memcmp(&want[i], &got[i], sizeof(T)))
+          << what << " entry " << i << ": " << want[i] << " vs " << got[i];
     }
   }
+}
+
+/// The column fused_axpy starts from: finite, signed, not a multiple of a.
+template <typename T>
+std::vector<T> start_column(index_t n) {
+  std::vector<T> out(static_cast<std::size_t>(n));
+  for (index_t i = 0; i < n; ++i) {
+    out[static_cast<std::size_t>(i)] = static_cast<T>(0.375 * (i % 11) - 1.5);
+  }
+  return out;
+}
+
+template <typename T>
+void check_sampler_across_isas() {
+  const std::vector<microkernel::Isa> isas = supported_isas();
+  for (Dist dist :
+       {Dist::PmOne, Dist::Uniform, Dist::UniformScaled, Dist::Gaussian}) {
+    const bool chunked = dist != Dist::Gaussian;
+    const index_t chunk = dist == Dist::PmOne ? 64 : 16;
+    SketchSampler<T> ref(99, dist, RngBackend::XoshiroBatch,
+                         microkernel::Isa::Scalar);
+    for (const auto& rj : kCheckpoints) {
+      for (index_t n : kTailLengths) {
+        const auto r = rj[0], j = rj[1];
+        const auto sz = static_cast<std::size_t>(n);
+        const T a = static_cast<T>(-0.8125);
+        std::vector<T> vref(sz);
+        ref.fill(r, j, vref.data(), n);
+        std::vector<T> fref = start_column<T>(n);
+        if (chunked) ref.fused_axpy(r, j, a, fref.data(), n);
+        for (microkernel::Isa isa : isas) {
+          const std::string what = "dist=" + to_string(dist) + " isa=" +
+                                   microkernel::to_string(isa) + " n=" +
+                                   std::to_string(n) + " r=" +
+                                   std::to_string(r) + " j=" +
+                                   std::to_string(j);
+          SketchSampler<T> s(99, dist, RngBackend::XoshiroBatch, isa);
+          std::vector<T> v(sz);
+          s.fill(r, j, v.data(), n);
+          EXPECT_EQ(0, std::memcmp(vref.data(), v.data(), sz * sizeof(T)))
+              << "fill " << what;
+          if (!chunked) continue;
+          std::vector<T> fused = start_column<T>(n);
+          s.fused_axpy(r, j, a, fused.data(), n);
+          EXPECT_EQ(0, std::memcmp(fref.data(), fused.data(), sz * sizeof(T)))
+              << "fused vs scalar tier " << what;
+          std::vector<T> buffered = start_column<T>(n);
+          s.mk().axpy(n, a, v.data(), buffered.data());
+          EXPECT_EQ(0,
+                    std::memcmp(buffered.data(), fused.data(), sz * sizeof(T)))
+              << "fused vs fill-then-axpy " << what;
+          // The XoshiroBatch entries run the same stream from a positioned
+          // generator and leave it ceil(n / chunk) batches further on.
+          XoshiroBatch g(99), moved(99);
+          g.set_state(static_cast<std::uint64_t>(r),
+                      static_cast<std::uint64_t>(j));
+          std::vector<T> gv(sz), gf = start_column<T>(n);
+          s.mk().fill(g, dist, gv.data(), n);
+          EXPECT_EQ(0, std::memcmp(vref.data(), gv.data(), sz * sizeof(T)))
+              << "fill(g) " << what;
+          g.set_state(static_cast<std::uint64_t>(r),
+                      static_cast<std::uint64_t>(j));
+          s.mk().fused_axpy(g, dist, a, gf.data(), n);
+          EXPECT_EQ(0, std::memcmp(fref.data(), gf.data(), sz * sizeof(T)))
+              << "fused_axpy(g) " << what;
+          moved.set_state(static_cast<std::uint64_t>(r),
+                          static_cast<std::uint64_t>(j));
+          std::vector<std::uint64_t> skip(
+              static_cast<std::size_t>(8 * ceil_div(n, chunk)));
+          moved.fill_lanes(skip.data(), ceil_div(n, chunk));
+          std::uint64_t next_g[8], next_moved[8];
+          g.next8(next_g);
+          moved.next8(next_moved);
+          EXPECT_EQ(0, std::memcmp(next_g, next_moved, sizeof next_g))
+              << "state after fused_axpy(g) " << what;
+        }
+      }
+    }
+  }
+}
+
+// A non-finite coefficient (A holding a NaN or an infinity) must leave its
+// non-finite entries in the same positions on every tier and in the
+// buffered path. The start column holds infinities of both signs, so
+// Inf - Inf = NaN positions depend on each sample's sign.
+template <typename T>
+void check_non_finite_coefficients() {
+  constexpr index_t kN = 133;
+  const T inf = std::numeric_limits<T>::infinity();
+  for (Dist dist : {Dist::PmOne, Dist::Uniform, Dist::UniformScaled}) {
+    for (const T a : {std::numeric_limits<T>::quiet_NaN(), inf, -inf}) {
+      std::vector<T> start = start_column<T>(kN);
+      start[5] = inf;
+      start[70] = -inf;
+      std::vector<T> want;
+      for (microkernel::Isa isa : supported_isas()) {
+        const std::string what = "dist=" + to_string(dist) + " isa=" +
+                                 microkernel::to_string(isa) + " a=" +
+                                 std::to_string(a);
+        SketchSampler<T> s(5, dist, RngBackend::XoshiroBatch, isa);
+        std::vector<T> fused = start;
+        s.fused_axpy(17, 42, a, fused.data(), kN);
+        std::vector<T> v(kN), buffered = start;
+        s.fill(17, 42, v.data(), kN);
+        s.mk().axpy(kN, a, v.data(), buffered.data());
+        expect_same_values(buffered, fused, "fused vs buffered " + what);
+        if (want.empty()) want = fused;
+        expect_same_values(want, fused, "tier vs scalar " + what);
+      }
+    }
+  }
+}
+
+TEST(SimdEquivalence, SamplerFillMatchesAcrossIsas) {
+  check_sampler_across_isas<double>();
+  check_sampler_across_isas<float>();
+  check_non_finite_coefficients<double>();
+  check_non_finite_coefficients<float>();
 }
 
 // Dispatch plumbing: resolve() honors explicit tiers, best_supported() is
@@ -176,6 +304,8 @@ TEST(SimdEquivalence, DispatchInvariants) {
     EXPECT_NE(ops.axpy_multi, nullptr);
     EXPECT_NE(ops.fill, nullptr);
     EXPECT_NE(ops.fused_axpy, nullptr);
+    EXPECT_NE(ops.fill_at, nullptr);
+    EXPECT_NE(ops.fused_axpy_at, nullptr);
     const auto& fops = microkernel::ops<float>(isa);
     EXPECT_NE(fops.axpy, nullptr);
     EXPECT_NE(fops.fused_axpy, nullptr);
