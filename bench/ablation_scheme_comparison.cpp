@@ -5,9 +5,9 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "sketch/baselines.hpp"
 #include "sketch/sketch.hpp"
 #include "sketch/sketch_right.hpp"
-#include "sketch/streaming.hpp"
 #include "sparse/convert.hpp"
 #include "testdata/replicas.hpp"
 
@@ -72,16 +72,12 @@ int main() {
     cfg.block_d = 3000;
     const auto a_csr = csc_to_csr(a);
     DenseMatrix<float> out;
-    SketchStats best;
-    best.total_seconds = 1e300;
-    for (int r = 0; r < reps; ++r) {
-      const auto s = streaming_sketch(cfg, a_csr, out);
-      if (s.total_seconds < best.total_seconds) best = s;
-    }
-    t.add_row({"streaming (1,m,1)", "S*A", fmt_time(best.total_seconds),
-               fmt_int(static_cast<long long>(best.samples_generated)),
-               fmt_fixed(static_cast<double>(best.samples_generated) / dnnz,
-                         3)});
+    std::uint64_t samples = 0;
+    const double secs = bench::time_best(
+        reps, [&] { samples = baseline_streaming(cfg, a_csr, out); });
+    t.add_row({"streaming (1,m,1)", "S*A", fmt_time(secs),
+               fmt_int(static_cast<long long>(samples)),
+               fmt_fixed(static_cast<double>(samples) / dnnz, 3)});
   }
   {
     SketchConfig cfg;

@@ -10,11 +10,9 @@
 
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "perf/perf.hpp"
-#include "perf/perf_events.hpp"
 #include "perf/report.hpp"
 #include "support/env.hpp"
 #include "support/table.hpp"
@@ -41,33 +39,6 @@ inline perf::ReportBuilder make_report(const std::string& name) {
   r.config("reps", static_cast<long long>(bench_reps()));
   return r;
 }
-
-/// Hardware-counter bracket for a bench's measured section: counts the whole
-/// process between construction (or start()) and finish(). Opens nothing and
-/// does nothing when the report is inactive or perf_event_open is forbidden.
-class HwScope {
- public:
-  explicit HwScope(perf::ReportBuilder& report) : report_(report) {
-    if (report_.active()) {
-      group_ = std::make_unique<perf::PerfEventGroup>();
-      group_->start();
-    }
-  }
-
-  /// Stop counting and attach the reading to the report.
-  void finish() {
-    if (group_ == nullptr) return;
-    group_->stop();
-    report_.hardware(group_->read());
-    group_.reset();
-  }
-
-  ~HwScope() { finish(); }
-
- private:
-  perf::ReportBuilder& report_;
-  std::unique_ptr<perf::PerfEventGroup> group_;
-};
 
 /// Standard banner: experiment id, what the paper measured, our scaling.
 inline void print_banner(const std::string& experiment,

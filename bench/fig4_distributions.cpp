@@ -52,7 +52,6 @@ int main() {
   report.config("d", static_cast<long long>(d));
   report.config("kernel", "jki");
   report.derived("calibrated_peak_gflops", peak);
-  bench::HwScope hw(report);
 
   const double densities[] = {1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2};
 
@@ -103,7 +102,6 @@ int main() {
       "rest; the three cheap on-the-fly strategies beat pre-generated S; "
       "+-1 is the fastest.");
   std::printf("%s\n", t.render().c_str());
-  hw.finish();
   report.write();
   return 0;
 }

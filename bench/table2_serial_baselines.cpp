@@ -47,7 +47,6 @@ int main() {
   std::printf("%s\n", paper.render().c_str());
 
   auto report = bench::make_report("table2_serial_baselines");
-  bench::HwScope hw(report);
 
   Table ours("This repo (seconds; S generation excluded for baselines):");
   ours.set_header({"Matrices", "MKL-style", "Eigen-style", "Julia-style",
@@ -95,7 +94,6 @@ int main() {
       "Shape check: Alg3 beats every pre-generated-S baseline, and +-1 beats "
       "(-1,1) (paper sees 2-3x).");
   std::printf("%s\n", ours.render().c_str());
-  hw.finish();
   report.write();
   return 0;
 }

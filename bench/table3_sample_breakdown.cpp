@@ -47,7 +47,6 @@ int main() {
   std::printf("%s\n", paper.render().c_str());
 
   auto report = bench::make_report("table3_sample_breakdown");
-  bench::HwScope hw(report);
 
   Table ours("This repo (seconds, instrumented runs):");
   ours.set_header({"Matrices", "Algorithm", "total time", "sample time",
@@ -86,7 +85,6 @@ int main() {
       "Shape check: Alg4's sample time is a small fraction of Alg3's "
       "(paper: ~2x fewer seconds, far fewer samples).");
   std::printf("%s\n", ours.render().c_str());
-  hw.finish();
   report.write();
   return 0;
 }

@@ -63,7 +63,6 @@ int main() {
   report.config("matrix", "shar_te2-b2");
   report.config("d", static_cast<long long>(d));
   report.config("max_threads", static_cast<long long>(max_threads));
-  bench::HwScope hw(report);
 
   struct Setup {
     index_t bd, bn;
@@ -170,7 +169,6 @@ int main() {
     std::printf("%s\n", skewt.render().c_str());
   }
 
-  hw.finish();
   report.write();
   return 0;
 }

@@ -1,5 +1,5 @@
-// Schema validator for BENCH_*.json telemetry reports (schema_version 1 or
-// 2 — v2 adds span latency histograms and thread-imbalance fields).
+// Schema validator for BENCH_*.json telemetry reports (schema_version 2:
+// span latency histograms and thread-imbalance fields).
 // Used by the `smoke` ctest label to gate the emitter, and handy standalone:
 //
 //   validate_bench_json BENCH_fig4_distributions.json [more.json ...]

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "dense/microkernel.hpp"
-#include "perf/perf_events.hpp"
 #include "perf/report.hpp"
 #include "perf/trace.hpp"
 #include "sketch/autotune.hpp"
@@ -200,15 +199,11 @@ int cmd_sketch(const CliArgs& args, const CscMatrix<double>& a) {
     report.config("tune_source", to_string(decision.source));
     report.config("tune_choice", decision.choice.label());
   }
-  perf::PerfEventGroup hw;
-  if (report.active()) hw.start();
 
   DenseMatrix<double> a_hat;
   const auto stats = sketch_into(cfg, a, a_hat);
 
   if (report.active()) {
-    hw.stop();
-    report.hardware(hw.read());
     report.timing("sketch", stats.total_seconds, stats);
     report.config("block_n_run", static_cast<long long>(stats.block_n));
   }

@@ -42,7 +42,7 @@ enum class Counter : int {
   BytesMoved,      ///< the same traffic in bytes (values + indices)
   BytesGenerated,  ///< bytes of S produced (never stored)
   KernelBlocks,    ///< kernel invocations (outer block pairs)
-  SketchCalls,     ///< sketch runs: outer-driver calls + streaming_sketch
+  SketchCalls,     ///< sketch runs: one per outer-driver call
   TunerCacheHits,        ///< tuning-cache lookups answered without re-timing
   TunerCacheMisses,      ///< tuning-cache lookups that fell through
   TunerCandidatesTimed,  ///< pilot sub-sketches timed by the empirical tuner

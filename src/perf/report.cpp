@@ -115,12 +115,6 @@ void ReportBuilder::derived(const std::string& key, double value) {
   if (active_) extra_derived_[key] = value;
 }
 
-void ReportBuilder::hardware(const HwCounters& hw) {
-  if (!active_) return;
-  hw_ = hw;
-  have_hw_ = true;
-}
-
 Json ReportBuilder::build() const {
   Json doc = Json::object();
   doc["schema_version"] = 2;
@@ -203,18 +197,6 @@ Json ReportBuilder::build() const {
     worst_imbalance = std::max(worst_imbalance, bs.max_imbalance);
   }
   doc["spans"] = std::move(spans);
-
-  Json hardware = Json::object();
-  hardware["available"] = have_hw_ && hw_.valid;
-  if (have_hw_ && hw_.valid) {
-    hardware["cycles"] = hw_.cycles;
-    hardware["instructions"] = hw_.instructions;
-    hardware["cache_references"] = hw_.cache_references;
-    hardware["cache_misses"] = hw_.cache_misses;
-    hardware["ipc"] = hw_.ipc();
-    hardware["multiplex_scale"] = hw_.multiplex_scale;
-  }
-  doc["hardware"] = std::move(hardware);
 
   Json derived = Json::object();
   derived["measured_intensity_flops_per_elem"] = totals.intensity_per_element();
@@ -364,23 +346,6 @@ std::vector<std::string> validate_bench_report(const Json& doc) {
     if (const Json* imb = derived->find("thread_imbalance");
         imb != nullptr && imb->is_number() && imb->as_double() < 1.0) {
       errs.push_back("derived.thread_imbalance < 1");
-    }
-  }
-
-  const Json* hardware = doc.find("hardware");
-  if (hardware == nullptr || !hardware->is_object()) {
-    errs.push_back("hardware section missing");
-  } else {
-    const Json* avail = hardware->find("available");
-    if (avail == nullptr || !avail->is_bool()) {
-      errs.push_back("hardware.available missing or not a bool");
-    } else if (avail->as_bool()) {
-      for (const char* key : {"cycles", "instructions"}) {
-        const Json* v = hardware->find(key);
-        if (v == nullptr || !v->is_number()) {
-          errs.push_back(std::string("hardware.") + key + " missing");
-        }
-      }
     }
   }
 

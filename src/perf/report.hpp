@@ -1,7 +1,7 @@
 // Structured JSON benchmark reports (BENCH_<name>.json).
 //
-// A ReportBuilder collects config, timings, software counters, and hardware
-// counters for one benchmark binary and serializes them under the schema
+// A ReportBuilder collects config, timings, software counters and spans for
+// one benchmark binary and serializes them under the schema
 // documented in docs/OBSERVABILITY.md (schema_version 2: spans carry
 // min/max/mean/p50/p95/p99 latency fields and parallel spans a per-thread
 // busy/imbalance summary; the validator rejects every other version).
@@ -19,7 +19,6 @@
 
 #include "perf/json.hpp"
 #include "perf/perf.hpp"
-#include "perf/perf_events.hpp"
 #include "sketch/config.hpp"
 
 namespace rsketch::perf {
@@ -61,9 +60,6 @@ class ReportBuilder {
   /// Extra derived metric (emitted under "derived").
   void derived(const std::string& key, double value);
 
-  /// Attach one hardware-counter reading (emitted under "hardware").
-  void hardware(const HwCounters& hw);
-
   /// Build the full document. Captures the global perf::snapshot() (spans +
   /// catalog counters) at call time.
   Json build() const;
@@ -81,8 +77,6 @@ class ReportBuilder {
   Json extra_counters_ = Json::object();
   Json extra_derived_ = Json::object();
   KernelCounters totals_;
-  HwCounters hw_;
-  bool have_hw_ = false;
 };
 
 /// Validate a parsed BENCH_*.json document. Accepts only schema_version 2

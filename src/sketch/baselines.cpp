@@ -3,6 +3,9 @@
 #include <algorithm>
 
 #include "dense/blas1.hpp"
+#include "dense/microkernel.hpp"
+#include "sketch/sketch.hpp"
+#include "support/aligned_buffer.hpp"
 
 namespace rsketch {
 
@@ -87,6 +90,41 @@ std::vector<T> pack_transposed_rowmajor(const DenseMatrix<T>& s) {
   return out;
 }
 
+template <typename T>
+std::uint64_t baseline_streaming(const SketchConfig& cfg, const CsrMatrix<T>& a,
+                                 DenseMatrix<T>& out) {
+  cfg.validate();
+  if (out.rows() != cfg.d || out.cols() != a.cols()) {
+    out.reset(cfg.d, a.cols());
+  } else {
+    out.set_zero();
+  }
+  const index_t d = cfg.d;
+  const index_t bd = cfg.row_block();
+  SketchSampler<T> sampler(cfg.seed, cfg.dist, cfg.backend);
+  // The blocked kernels' micro-kernel axpy (FP contraction off), so the
+  // rank-1 updates round exactly as theirs do.
+  const microkernel::Ops<T>& mk = sampler.mk();
+  AlignedBuffer<T> v(d);
+  for (index_t j = 0; j < a.rows(); ++j) {
+    const index_t lo = a.row_ptr()[static_cast<std::size_t>(j)];
+    const index_t hi = a.row_ptr()[static_cast<std::size_t>(j) + 1];
+    if (lo == hi) continue;
+    for (index_t i0 = 0; i0 < d; i0 += bd) {
+      sampler.fill(i0, j, v.data() + i0, std::min(bd, d - i0));
+    }
+    for (index_t p = lo; p < hi; ++p) {
+      mk.axpy(d, a.values()[static_cast<std::size_t>(p)], v.data(),
+              out.col(a.col_idx()[static_cast<std::size_t>(p)]));
+    }
+  }
+  const T s = sketch_post_scale<T>(cfg);
+  if (s != T{1}) {
+    for (index_t k = 0; k < out.cols(); ++k) scal(out.rows(), s, out.col(k));
+  }
+  return sampler.samples_generated();
+}
+
 #define RSKETCH_INSTANTIATE(T)                                            \
   template void baseline_eigen_style<T>(const DenseMatrix<T>&,           \
                                         const CscMatrix<T>&,             \
@@ -97,7 +135,9 @@ std::vector<T> pack_transposed_rowmajor(const DenseMatrix<T>& s) {
   template void baseline_mkl_style<T>(const std::vector<T>&,             \
                                       const CscMatrix<T>&, index_t,      \
                                       std::vector<T>&);                  \
-  template std::vector<T> pack_transposed_rowmajor<T>(const DenseMatrix<T>&);
+  template std::vector<T> pack_transposed_rowmajor<T>(const DenseMatrix<T>&); \
+  template std::uint64_t baseline_streaming<T>(                          \
+      const SketchConfig&, const CsrMatrix<T>&, DenseMatrix<T>&);
 
 RSKETCH_INSTANTIATE(float)
 RSKETCH_INSTANTIATE(double)

@@ -2,14 +2,18 @@
 // Eigen, Julia SparseArrays, and Intel MKL comparisons in paper Tables II/IV.
 // Each reproduces the defining property of its library: S is fully
 // materialized in memory and the product uses that library's storage and
-// traversal order. Timing is the caller's job (the paper excludes the cost
-// of generating S for these baselines).
+// traversal order. Also the pylspack-style streaming scheme the paper
+// contrasts Algorithm 1 with (§II-A). Timing is the caller's job (the paper
+// excludes the cost of generating S for the pre-generated baselines).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "dense/dense_matrix.hpp"
+#include "sketch/config.hpp"
 #include "sparse/csc.hpp"
+#include "sparse/csr.hpp"
 
 namespace rsketch {
 
@@ -40,5 +44,17 @@ void baseline_mkl_style(const std::vector<T>& s_t_rowmajor,
 /// MKL-style baseline consumes.
 template <typename T>
 std::vector<T> pack_transposed_rowmajor(const DenseMatrix<T>& s);
+
+/// Pylspack-style (1, m, 1)-blocking (Sobczyk & Gallopoulos, 2022): S is
+/// generated on the fly one column at a time, once per nonempty row of A,
+/// and applied as a rank-1 update to the whole d×n output — memory-optimal
+/// in samples, but every update touches all of Â. Honours cfg.d, seed,
+/// dist, backend, block_d and normalize; it runs on one thread. S[:, j] is
+/// drawn in b_d-sized checkpointed chunks, so `out` (resized to d × n) is
+/// bitwise the blocked kernels' Â, post-scale included. Returns the samples
+/// generated.
+template <typename T>
+std::uint64_t baseline_streaming(const SketchConfig& cfg, const CsrMatrix<T>& a,
+                                 DenseMatrix<T>& out);
 
 }  // namespace rsketch

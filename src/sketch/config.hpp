@@ -115,13 +115,11 @@ struct SketchConfig {
   }
 
   /// Throws invalid_argument_error when structurally invalid.
-  void validate(index_t m, index_t n) const {
+  void validate() const {
     require(d >= 0, "SketchConfig: d must be nonnegative");
     require(block_d >= 1, "SketchConfig: block_d must be >= 1");
     require(block_n >= 1, "SketchConfig: block_n must be >= 1");
     require(deadline_ms >= 0.0, "SketchConfig: deadline_ms must be >= 0");
-    (void)m;
-    (void)n;
   }
 };
 
@@ -150,7 +148,7 @@ struct SketchStats {
   /// Column-block width the kernel ran: for kji, cfg.block_n clamped to n
   /// and narrowed to give every thread a block when the grid is smaller than
   /// the team (so cfg.block_n is an upper bound); for jki, the blocked CSR's
-  /// width; 0 for the right and dense sketches.
+  /// width; 0 for the right sketch.
   index_t block_n = 0;
 
   /// Degradation-ladder steps taken by this call under budget pressure

@@ -2,10 +2,10 @@
 //
 //   validate → (tune) → arm run control → stage → body → post-scale → publish
 //
-// sketch_into, sketch_into_prepartitioned, streaming_sketch,
-// sketch_right_into and sketch_dense_into differ only in the steps they plug
-// in; validation order, run control, clean-throw staging, the budget and
-// arena scopes, the post-scale and stop counting are written once here.
+// sketch_into, sketch_into_prepartitioned and sketch_right_into differ only
+// in the steps they plug in; validation order, run control, clean-throw
+// staging, the budget and arena scopes, the post-scale and stop counting are
+// written once here.
 #pragma once
 
 #include <functional>
@@ -19,8 +19,6 @@ namespace rsketch {
 /// the row-major std::vector of the right sketch.
 template <typename Out>
 struct SketchFrame {
-  index_t rows = 0;  ///< input rows, for SketchConfig::validate
-  index_t cols = 0;  ///< input columns
   /// The cfg.check_inputs scan of the input (throws validation_error).
   std::function<void()> check = nullptr;
   /// Resolve cfg.tune into an effective config; empty when the entry point

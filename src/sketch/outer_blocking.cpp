@@ -274,33 +274,6 @@ struct RightBlocks {
   }
 };
 
-/// Y = S·X for dense X (m×k): the block at i0 covers Y[i0 : i0+d1, :]. Every
-/// column of S is regenerated once per block and reused across X's k
-/// columns — the dense analogue of Algorithm 4's reuse.
-template <typename T>
-struct DenseBlocks {
-  using value_type = T;
-  const DenseMatrix<T>& x;
-  DenseMatrix<T>& y;
-
-  index_t jblocks() const { return 1; }
-  bool slabs() const { return false; }
-  BlockWork work(index_t) const {
-    return {x.cols(), x.rows(), x.rows() * x.cols(), 0};
-  }
-  void block(ThreadCtx<T>& ctx, index_t i0, index_t d1, index_t) const {
-    zero_panel(y, i0, d1, 0, x.cols());
-    T* const v = ctx.v.data();
-    for (index_t j = 0; j < x.rows(); ++j) {
-      // v := S[i0 : i0+d1, j] (dense X has no empty rows to skip).
-      ctx.sampler.fill(i0, j, v, d1);
-      for (index_t c = 0; c < x.cols(); ++c) {
-        axpy(d1, x(j, c), v, y.col(c) + i0);
-      }
-    }
-  }
-};
-
 }  // namespace
 
 /// Algorithm 1's outer loop around one block kernel: builds the per-thread
@@ -393,7 +366,7 @@ template <typename T>
 SketchStats sketch_blocked_kji(const SketchConfig& cfg, const CscMatrix<T>& a,
                                DenseMatrix<T>& a_hat, bool instrument,
                                const RunControl* run) {
-  cfg.validate(a.rows(), a.cols());
+  cfg.validate();
   require(a_hat.rows() == cfg.d && a_hat.cols() == a.cols(),
           "sketch_blocked_kji: a_hat must be d x n");
   const KjiBlocks<T> kernel(cfg, a, a_hat);
@@ -407,7 +380,7 @@ template <typename T>
 SketchStats sketch_blocked_jki(const SketchConfig& cfg, const BlockedCsr<T>& ab,
                                DenseMatrix<T>& a_hat, bool instrument,
                                const RunControl* run) {
-  cfg.validate(ab.rows(), ab.cols());
+  cfg.validate();
   require(a_hat.rows() == cfg.d && a_hat.cols() == ab.cols(),
           "sketch_blocked_jki: a_hat must be d x n");
   SketchStats stats = run_outer_blocks(cfg, JkiBlocks<T>{cfg, ab, a_hat},
@@ -421,7 +394,7 @@ SketchStats sketch_blocked_right(const SketchConfig& cfg,
                                  const CscMatrix<T>& a,
                                  std::vector<T>& b_rowmajor,
                                  const RunControl* run) {
-  cfg.validate(a.rows(), a.cols());
+  cfg.validate();
   require(static_cast<index_t>(b_rowmajor.size()) == a.rows() * cfg.d,
           "sketch_blocked_right: b must hold m x d elements");
   index_t nonempty_cols = 0;
@@ -434,17 +407,6 @@ SketchStats sketch_blocked_right(const SketchConfig& cfg,
                           "sketch_right", false, run);
 }
 
-template <typename T>
-SketchStats sketch_blocked_dense(const SketchConfig& cfg,
-                                 const DenseMatrix<T>& x, DenseMatrix<T>& y,
-                                 const RunControl* run) {
-  cfg.validate(x.rows(), x.cols());
-  require(y.rows() == cfg.d && y.cols() == x.cols(),
-          "sketch_blocked_dense: y must be d x k");
-  return run_outer_blocks(cfg, DenseBlocks<T>{x, y}, "sketch_dense", false,
-                          run);
-}
-
 #define RSKETCH_INSTANTIATE(T)                                                \
   template SketchStats run_outer_blocks(                                      \
       const SketchConfig&, const KjiBlocks<T>&, const char*, bool,            \
@@ -455,9 +417,6 @@ SketchStats sketch_blocked_dense(const SketchConfig& cfg,
   template SketchStats run_outer_blocks(                                      \
       const SketchConfig&, const RightBlocks<T>&, const char*, bool,          \
       const RunControl*);                                                     \
-  template SketchStats run_outer_blocks(                                      \
-      const SketchConfig&, const DenseBlocks<T>&, const char*, bool,          \
-      const RunControl*);                                                     \
   template SketchStats sketch_blocked_kji<T>(                                 \
       const SketchConfig&, const CscMatrix<T>&, DenseMatrix<T>&, bool,        \
       const RunControl*);                                                     \
@@ -466,9 +425,6 @@ SketchStats sketch_blocked_dense(const SketchConfig& cfg,
       const RunControl*);                                                     \
   template SketchStats sketch_blocked_right<T>(                               \
       const SketchConfig&, const CscMatrix<T>&, std::vector<T>&,              \
-      const RunControl*);                                                     \
-  template SketchStats sketch_blocked_dense<T>(                               \
-      const SketchConfig&, const DenseMatrix<T>&, DenseMatrix<T>&,            \
       const RunControl*);
 
 RSKETCH_INSTANTIATE(float)

@@ -1,9 +1,9 @@
 // Algorithm 1 of the paper: the (⌈d/b_d⌉, 1, ⌈n/b_n⌉) outer blocking loop
 // that drives a compute kernel over block pairs, with OpenMP parallelism
 // over either outer loop (§II-C). One driver in outer_blocking.cpp runs
-// every block kernel — kji, jki, the right sketch and the dense sketch — so
-// the thread team, the cost-model schedule, the stop latch and the busy
-// accounting are shared.
+// all three block kernels — kji, jki and the right sketch — so the thread
+// team, the cost-model schedule, the stop latch and the busy accounting are
+// shared.
 #pragma once
 
 #include <vector>
@@ -49,14 +49,6 @@ template <typename T>
 SketchStats sketch_blocked_right(const SketchConfig& cfg,
                                  const CscMatrix<T>& a,
                                  std::vector<T>& b_rowmajor,
-                                 const RunControl* run = nullptr);
-
-/// The dense sketch Y = S·X (sketch/sketch_dense.hpp) on the same driver:
-/// one block per b_d-row panel of Y. `y` must be pre-sized to d × k and is
-/// overwritten. Run control as in sketch_blocked_kji.
-template <typename T>
-SketchStats sketch_blocked_dense(const SketchConfig& cfg,
-                                 const DenseMatrix<T>& x, DenseMatrix<T>& y,
                                  const RunControl* run = nullptr);
 
 }  // namespace rsketch

@@ -213,7 +213,7 @@ std::uint64_t apply_budget_ladder(SketchConfig& eff, const CscMatrix<T>& a,
 template <typename Out>
 SketchStats sketch_frame(const SketchConfig& cfg, Out& out,
                          const SketchFrame<Out>& steps) {
-  cfg.validate(steps.rows, steps.cols);
+  cfg.validate();
   if (cfg.check_inputs) {
     perf::Span span("validate_inputs");
     steps.check();
@@ -258,9 +258,7 @@ SketchStats sketch_into(const SketchConfig& cfg, const CscMatrix<T>& a,
                         DenseMatrix<T>& a_hat, bool instrument) {
   return sketch_frame<DenseMatrix<T>>(
       cfg, a_hat,
-      {.rows = a.rows(),
-       .cols = a.cols(),
-       .check = [&] { require_valid(a); },
+      {.check = [&] { require_valid(a); },
        // Resolve (kernel, blocks, isa) through the tuner; the
        // effective config carries tune == Off and the caller's backend.
        .tune = [&](const SketchConfig& c) { return resolve_tuning(c, a); },
@@ -292,9 +290,7 @@ SketchStats sketch_into_prepartitioned(const SketchConfig& cfg,
   // only the per-thread scratch is charged to a budget.
   return sketch_frame<DenseMatrix<T>>(
       cfg, a_hat,
-      {.rows = ab.rows(),
-       .cols = ab.cols(),
-       .check = [&] { require_valid(ab); },
+      {.check = [&] { require_valid(ab); },
        .stage = [&](DenseMatrix<T>& out) { fit(out, cfg.d, ab.cols()); },
        .body = [&](const SketchConfig& c, DenseMatrix<T>& out,
                    RunControl* run) {

@@ -11,9 +11,7 @@ SketchStats sketch_right_into(const SketchConfig& cfg, const CscMatrix<T>& a,
                               std::vector<T>& b_rowmajor) {
   return sketch_frame<std::vector<T>>(
       cfg, b_rowmajor,
-      {.rows = a.rows(),
-       .cols = a.cols(),
-       .check = [&] { require_valid(a); },
+      {.check = [&] { require_valid(a); },
        .stage =
            [&](std::vector<T>& b) {
              b.resize(static_cast<std::size_t>(a.rows() * cfg.d));

@@ -15,13 +15,10 @@
 
 #include "perf/perf.hpp"
 #include "sketch/sketch.hpp"
-#include "sketch/sketch_dense.hpp"
 #include "sketch/sketch_right.hpp"
-#include "sketch/streaming.hpp"
 #include "solvers/guarded.hpp"
 #include "solvers/least_squares.hpp"
 #include "sparse/blocked_csr.hpp"
-#include "sparse/convert.hpp"
 #include "sparse/generate.hpp"
 #include "support/memory_tracker.hpp"
 #include "support/run_control.hpp"
@@ -437,55 +434,19 @@ TEST(RunControlBudget, DegradationsAreCountedInPerf) {
   EXPECT_EQ(it->second.count, stats.degradations);
 }
 
-// ------------------------------------------------------------- streaming --
-
-TEST(RunControlStreaming, CancelledRunLeavesOutputUntouched) {
-  const auto a = test_matrix();
-  SketchConfig cfg;
-  cfg.d = 24;
-  cfg.block_d = 24;
-  RunControl rc;
-  rc.request_cancel();
-  cfg.control = &rc;
-  auto out = sentinel_matrix(cfg.d, a.cols());
-  try {
-    streaming_sketch(cfg, csc_to_csr(a), out);
-    FAIL() << "cancelled streaming sketch must throw";
-  } catch (const run_stopped_error& e) {
-    EXPECT_EQ(e.cause(), StopCause::Cancelled);
-  }
-  expect_sentinel_intact(out);
-}
-
-TEST(RunControlStreaming, ArmedButUnhitDeadlineIsBitwiseInvisible) {
-  const auto a = test_matrix();
-  SketchConfig cfg;
-  cfg.d = 24;
-  cfg.block_d = 24;
-  DenseMatrix<double> plain;
-  streaming_sketch(cfg, csc_to_csr(a), plain);
-  SketchConfig armed = cfg;
-  armed.deadline_ms = 1e9;
-  DenseMatrix<double> bounded;
-  streaming_sketch(armed, csc_to_csr(a), bounded);
-  expect_bitwise_equal(plain, bounded);
-}
-
 // ------------------------------------------ every entry point, every cause --
 //
-// The contract holds for all five sketch entry points, not just sketch_into:
+// The contract holds for all three sketch entry points, not just sketch_into:
 // a stopped call throws the cause, leaves its output exactly as the caller
 // passed it, and bumps the matching run_* counter exactly once.
 
-enum class Entry { Sketch, Prepartitioned, Streaming, Right, Dense };
+enum class Entry { Sketch, Prepartitioned, Right };
 
 std::string to_string(Entry e) {
   switch (e) {
     case Entry::Sketch: return "sketch_into";
     case Entry::Prepartitioned: return "prepartitioned";
-    case Entry::Streaming: return "streaming";
     case Entry::Right: return "right";
-    case Entry::Dense: return "dense";
   }
   return "?";
 }
@@ -525,28 +486,11 @@ std::vector<double> run_entry(Entry e, const SketchConfig& cfg,
       guarded([&] { sketch_into_prepartitioned(cfg, ab, out); });
       return flatten(out);
     }
-    case Entry::Streaming: {
-      const auto csr = csc_to_csr(a);
-      auto out = sentinel_matrix(cfg.d, a.cols());
-      guarded([&] { streaming_sketch(cfg, csr, out); });
-      return flatten(out);
-    }
     case Entry::Right: {
       std::vector<double> out(static_cast<std::size_t>(a.rows() * cfg.d),
                               -123.25);
       guarded([&] { sketch_right_into(cfg, a, out); });
       return out;
-    }
-    case Entry::Dense: {
-      DenseMatrix<double> x(a.rows(), 3);
-      for (index_t j = 0; j < x.cols(); ++j) {
-        for (index_t i = 0; i < x.rows(); ++i) {
-          x(i, j) = static_cast<double>((i + 3 * j) % 7) - 3.0;
-        }
-      }
-      auto out = sentinel_matrix(cfg.d, x.cols());
-      guarded([&] { sketch_dense_into(cfg, x, out); });
-      return flatten(out);
     }
   }
   return {};
@@ -561,7 +505,7 @@ perf::Counter counter_of(StopCause c) {
 }
 
 constexpr Entry kEntries[] = {Entry::Sketch, Entry::Prepartitioned,
-                              Entry::Streaming, Entry::Right, Entry::Dense};
+                              Entry::Right};
 
 class RunControlContract
     : public ::testing::TestWithParam<std::tuple<Entry, StopCause>> {};
@@ -640,10 +584,9 @@ TEST_P(RunControlArmedUnhit, OutputIsBitwiseTheUnarmedOne) {
   }
 }
 
-// sketch_into and streaming_sketch have their own cases above.
+// sketch_into has its own case above.
 INSTANTIATE_TEST_SUITE_P(OtherEntryPoints, RunControlArmedUnhit,
-                         ::testing::Values(Entry::Prepartitioned, Entry::Right,
-                                           Entry::Dense),
+                         ::testing::Values(Entry::Prepartitioned, Entry::Right),
                          [](const auto& info) { return to_string(info.param); });
 
 // --------------------------------------------------------- guarded solve --
