@@ -307,7 +307,8 @@ int cmd_solve(const CliArgs& args, CscMatrix<double> a) {
   report.counter("lsqr_iterations",
                  static_cast<std::uint64_t>(res.iterations));
   report.counter("peak_workspace_bytes", res.workspace_bytes);
-  // Retry telemetry: the span table already carries guarded_sap/retry and
+  // Retry telemetry: the span table already carries the guarded_sap_solve
+  // root, its sap/* phases and the guarded_sap/retry and
   // guarded_sap/attempt_ok entries; these counters make the totals greppable.
   report.counter("guarded_attempts", static_cast<std::uint64_t>(attempts));
   report.counter("guarded_recovered", recovered ? 1u : 0u);

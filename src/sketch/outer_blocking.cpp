@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "dense/blas1.hpp"
 #include "dense/microkernel.hpp"
 #include "perf/perf.hpp"
 #include "perf/trace.hpp"
@@ -261,6 +260,9 @@ struct RightBlocks {
       std::fill_n(out + i * d + c0, d1, T{0});
     }
     T* const v = ctx.v.data();
+    // The sampler's micro-kernel axpy, the one the left kernels use, so B is
+    // bitwise the transpose of sketch_into(cfg, Aᵀ).
+    const microkernel::Ops<T>& mk = ctx.sampler.mk();
     for (index_t k = 0; k < a.cols(); ++k) {
       const index_t lo = a.col_ptr()[static_cast<std::size_t>(k)];
       const index_t hi = a.col_ptr()[static_cast<std::size_t>(k) + 1];
@@ -268,7 +270,8 @@ struct RightBlocks {
       ctx.sampler.fill(c0, k, v, d1);
       for (index_t p = lo; p < hi; ++p) {
         const index_t i = a.row_idx()[static_cast<std::size_t>(p)];
-        axpy(d1, a.values()[static_cast<std::size_t>(p)], v, out + i * d + c0);
+        mk.axpy(d1, a.values()[static_cast<std::size_t>(p)], v,
+                out + i * d + c0);
       }
     }
   }

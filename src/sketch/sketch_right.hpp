@@ -24,7 +24,9 @@ namespace rsketch {
 /// Any non-sequential cfg.parallel splits the d dimension across threads.
 /// Run control (cancel, deadline, budget) as for sketch_into; a stopped
 /// call leaves `b_rowmajor` untouched. S is the matrix materialize_S(cfg, n)
-/// returns (sketch/sketch.hpp).
+/// returns (sketch/sketch.hpp), and B is byte for byte the transpose of the
+/// kji sketch_into(cfg, Aᵀ): both add the same products in the same order
+/// through the sampler's micro-kernel axpy.
 template <typename T>
 SketchStats sketch_right_into(const SketchConfig& cfg, const CscMatrix<T>& a,
                               std::vector<T>& b_rowmajor);

@@ -9,10 +9,10 @@
 #include "perf/perf.hpp"
 #include "sketch/sketch.hpp"
 #include "solvers/qr.hpp"
+#include "solvers/sap_pipeline.hpp"
 #include "solvers/svd.hpp"
 #include "solvers/triangular.hpp"
 #include "sparse/ops.hpp"
-#include "support/memory_tracker.hpp"
 #include "support/timer.hpp"
 
 namespace rsketch {
@@ -36,8 +36,8 @@ void dense_matvec_t(const DenseMatrix<T>& m_mat, const T* x, T* y) {
   }
 }
 
-}  // namespace
-
+/// Factor Â (consumed) into a right preconditioner. A degenerate sketch does
+/// not throw here: it comes back with rank 0 or an infinite cond_estimate.
 template <typename T>
 SapPreconditioner<T> sap_build_preconditioner(DenseMatrix<T>&& a_hat,
                                               SapFactor kind,
@@ -94,6 +94,8 @@ SapPreconditioner<T> sap_build_preconditioner(DenseMatrix<T>&& a_hat,
   return p;
 }
 
+/// The preconditioned operator A·N. `a`, `p`, and `scratch` (resized to
+/// length n here) must all outlive the returned operator.
 template <typename T>
 LinearOperator<T> sap_preconditioned_operator(const CscMatrix<T>& a,
                                               const SapPreconditioner<T>& p,
@@ -127,6 +129,7 @@ LinearOperator<T> sap_preconditioned_operator(const CscMatrix<T>& a,
   return op;
 }
 
+/// x (length n) := N·y (y of length p.rank) — maps LSQR's solution back.
 template <typename T>
 void sap_recover_solution(const SapPreconditioner<T>& p, const T* y, T* x) {
   if (p.kind == SapFactor::QR) {
@@ -135,6 +138,138 @@ void sap_recover_solution(const SapPreconditioner<T>& p, const T* y, T* x) {
   } else {
     dense_matvec(p.n_mat, y, x);
   }
+}
+
+}  // namespace
+
+template <typename T>
+SapPipeline<T>::SapPipeline(const SapOptions& options, RunControl* control)
+    : options_(options), control_(control) {
+  mem_.attach(control);
+}
+
+template <typename T>
+index_t SapPipeline<T>::sketch_rows(index_t cols) const {
+  return static_cast<index_t>(
+      std::ceil(options_.gamma * static_cast<double>(cols)));
+}
+
+template <typename T>
+DenseMatrix<T> SapPipeline<T>::sketch(const CscMatrix<T>& a, index_t d,
+                                      std::uint64_t seed) {
+  SketchConfig cfg;
+  cfg.d = d;
+  cfg.seed = seed;
+  cfg.dist = options_.dist;
+  cfg.kernel = options_.kernel;
+  cfg.normalize = true;
+  // The sketch polls the same control between outer blocks and routes its
+  // workspace through the same budget (deadline/budget fields stay zero —
+  // they are already armed on the control, re-arming would reset the clock).
+  cfg.control = control_;
+  Timer phase;
+  DenseMatrix<T> a_hat;  // sized d×n by sketch_into
+  {
+    perf::Span span("sap/sketch");
+    sketch_into(cfg, a, a_hat);
+  }
+  phases_.sketch_seconds += phase.seconds();
+  mem_.add("sketch A_hat", a_hat.memory_bytes());
+  return a_hat;
+}
+
+template <typename T>
+SapPreconditioner<T> SapPipeline<T>::factor(DenseMatrix<T>&& a_hat) {
+  Timer phase;
+  SapPreconditioner<T> p;
+  {
+    perf::Span span("sap/factor");
+    p = sap_build_preconditioner(std::move(a_hat), options_.factor,
+                                 options_.sigma_drop);
+  }
+  if (p.usable()) {
+    mem_.add("factor", p.kind == SapFactor::QR ? p.r.memory_bytes()
+                                               : p.n_mat.memory_bytes());
+  }
+  // Â's storage was consumed by the factorization (moved in, freed with the
+  // factor object); the peak above already accounted for the overlap.
+  mem_.release("sketch A_hat");
+  phases_.factor_seconds += phase.seconds();
+  return p;
+}
+
+template <typename T>
+LsqrResult<T> SapPipeline<T>::lsqr(
+    const LinearOperator<T>& op, const T* rhs,
+    const std::function<std::vector<T>(std::vector<T>&&)>& recover) {
+  Timer phase;
+  LsqrResult<T> res;
+  {
+    perf::Span span("sap/lsqr");
+    mem_.add("LSQR workspace",
+             static_cast<std::size_t>(2 * op.rows + 4 * op.cols) * sizeof(T));
+    LsqrOptions lo;
+    lo.tol = options_.lsqr_tol;
+    lo.max_iter = options_.lsqr_max_iter;
+    lo.control = control_;
+    res = rsketch::lsqr(op, rhs, lo);
+    res.x = recover(std::move(res.x));
+  }
+  phases_.lsqr_seconds += phase.seconds();
+  return res;
+}
+
+template <typename T>
+SapResult<T> SapPipeline<T>::finish(LsqrResult<T>&& res, index_t rank) {
+  SapResult<T> out = phases_;
+  out.x = std::move(res.x);
+  out.iterations = res.iterations;
+  out.converged = res.converged;
+  out.rank = rank;
+  out.total_seconds = total_.seconds();
+  out.workspace_bytes = mem_.peak_bytes();
+  return out;
+}
+
+template <typename T>
+SapResult<T> SapPipeline<T>::attempt(const CscMatrix<T>& a,
+                                     const std::vector<T>& b,
+                                     const SapChecks<T>& checks,
+                                     SapAttemptLog& log) {
+  // Whatever an earlier attempt still holds is freed by now; the tracker
+  // keeps its peak.
+  for (const char* label : {"sketch A_hat", "factor", "LSQR workspace"}) {
+    mem_.release(label);
+  }
+  const auto passes = [&log](SapAttemptOutcome outcome) {
+    log.outcome = outcome;
+    return outcome == SapAttemptOutcome::Success;
+  };
+  const auto check = [](const auto& fn, auto& arg) {
+    return fn ? fn(arg) : SapAttemptOutcome::Success;
+  };
+
+  DenseMatrix<T> a_hat = sketch(a, log.d, log.seed);
+  if (!passes(check(checks.sketch, a_hat))) return {};
+
+  const SapPreconditioner<T> p = factor(std::move(a_hat));
+  log.cond_estimate = p.cond_estimate;
+  if (!passes(p.usable() ? check(checks.factor, p)
+                         : SapAttemptOutcome::BadPreconditioner)) {
+    return {};
+  }
+
+  // LSQR on the preconditioned operator A·N, then x = N·y.
+  std::vector<T> scratch_n;
+  LsqrResult<T> res = lsqr(sap_preconditioned_operator(a, p, scratch_n),
+                           b.data(), [&p](std::vector<T>&& y) {
+                             std::vector<T> x(static_cast<std::size_t>(p.n));
+                             sap_recover_solution(p, y.data(), x.data());
+                             return x;
+                           });
+  log.lsqr_iterations = res.iterations;
+  if (!passes(check(checks.solve, res))) return {};
+  return finish(std::move(res), p.rank);
 }
 
 template <typename T>
@@ -148,44 +283,18 @@ SapResult<T> sap_solve(const CscMatrix<T>& a, const std::vector<T>& b,
   require(options.gamma > 1.0, "sap_solve: gamma must exceed 1");
 
   perf::Span root("sap_solve");
-  SapResult<T> out;
-  MemoryTracker mem;
-  Timer total;
-
-  // --- 1. Sketch: Â = S·A, d = ⌈γn⌉, normalized to an approximate isometry.
-  SketchConfig cfg;
-  cfg.d = static_cast<index_t>(std::ceil(options.gamma * static_cast<double>(n)));
-  cfg.seed = options.seed;
-  cfg.dist = options.dist;
-  cfg.backend = options.backend;
-  cfg.kernel = options.kernel;
-  cfg.parallel = options.parallel;
-  cfg.normalize = true;
-
-  Timer phase;
-  DenseMatrix<T> a_hat;  // sized d×n by sketch_into
-  {
-    perf::Span span("sap/sketch");
-    sketch_into(cfg, a, a_hat);
-  }
-  out.sketch_seconds = phase.seconds();
-  mem.add("sketch A_hat", a_hat.memory_bytes());
-
-  // --- 2. Factor Â into a right preconditioner N.
-  phase.reset();
-  SapPreconditioner<T> precond;
-  {
-    perf::Span span("sap/factor");
-    precond = sap_build_preconditioner(std::move(a_hat), options.factor,
-                                       options.sigma_drop);
-  }
-  if (!precond.usable()) {
+  SapPipeline<T> pipe(options, nullptr);
+  SapAttemptLog log;
+  log.d = pipe.sketch_rows(n);
+  log.seed = options.seed;
+  SapResult<T> out = pipe.attempt(a, b, {}, log);
+  if (log.outcome != SapAttemptOutcome::Success) {
     // Fail here, as a numeric failure, rather than at the first zero pivot
     // inside LSQR's triangular solve.
     std::ostringstream os;
     if (options.factor == SapFactor::QR) {
       os << "sap_solve: R of the sketch is singular (cond~"
-         << precond.cond_estimate
+         << log.cond_estimate
          << "); A is numerically rank-deficient: use SapFactor::SVD (--svd) "
             "or guarded_sap_solve (--guarded)";
     } else {
@@ -193,52 +302,15 @@ SapResult<T> sap_solve(const CscMatrix<T>& a, const std::vector<T>& b,
     }
     throw numeric_error(os.str());
   }
-  mem.add(options.factor == SapFactor::QR ? "R factor" : "V*Sigma^+ factor",
-          options.factor == SapFactor::QR ? precond.r.memory_bytes()
-                                          : precond.n_mat.memory_bytes());
-  out.factor_seconds = phase.seconds();
-  out.rank = precond.rank;
-  // Â's storage was consumed by the factorization (moved in, freed with the
-  // factor object); the peak above already accounted for the overlap.
-  mem.release("sketch A_hat");
-
-  // --- 3. LSQR on the preconditioned operator A·N, then recover x = N·y.
-  phase.reset();
-  {
-    perf::Span span("sap/lsqr");
-    std::vector<T> scratch_n;
-    LinearOperator<T> op = sap_preconditioned_operator(a, precond, scratch_n);
-    mem.add("LSQR workspace",
-            static_cast<std::size_t>(2 * m + 4 * n) * sizeof(T));
-
-    LsqrOptions lo;
-    lo.tol = options.lsqr_tol;
-    lo.max_iter = options.lsqr_max_iter;
-    LsqrResult<T> res = lsqr(op, b.data(), lo);
-    out.iterations = res.iterations;
-    out.converged = res.converged;
-    out.x.assign(static_cast<std::size_t>(n), T{0});
-    sap_recover_solution(precond, res.x.data(), out.x.data());
-  }
-  out.lsqr_seconds = phase.seconds();
-
-  out.total_seconds = total.seconds();
-  out.workspace_bytes = mem.peak_bytes();
   return out;
 }
 
 #define RSKETCH_INSTANTIATE(T)                                               \
   template struct SapResult<T>;                                              \
-  template struct SapPreconditioner<T>;                                      \
+  template class SapPipeline<T>;                                             \
   template SapResult<T> sap_solve<T>(const CscMatrix<T>&,                    \
                                      const std::vector<T>&,                  \
-                                     const SapOptions&);                     \
-  template SapPreconditioner<T> sap_build_preconditioner<T>(                 \
-      DenseMatrix<T>&&, SapFactor, double);                                  \
-  template LinearOperator<T> sap_preconditioned_operator<T>(                 \
-      const CscMatrix<T>&, const SapPreconditioner<T>&, std::vector<T>&);    \
-  template void sap_recover_solution<T>(const SapPreconditioner<T>&,         \
-                                        const T*, T*);
+                                     const SapOptions&);
 
 RSKETCH_INSTANTIATE(float)
 RSKETCH_INSTANTIATE(double)

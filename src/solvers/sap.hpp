@@ -2,12 +2,11 @@
 // pipeline: Â = S·A via the fast sketching kernels, a dense QR or SVD of Â
 // to build a right preconditioner, then LSQR on the preconditioned system.
 //
-// The pipeline stages (factor, preconditioned operator, solution recovery)
-// are exposed individually so the guarded driver (solvers/guarded.hpp) can
-// gate on preconditioner quality between stages and re-sketch on a bad draw.
+// The pipeline itself is written once (solvers/sap_pipeline.hpp): sap_solve
+// runs one attempt of it, and the guarded driver (solvers/guarded.hpp) gates
+// the same attempt between its steps and re-sketches on a bad draw.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -31,13 +30,11 @@ struct SapOptions {
   double lsqr_tol = 1e-14;
   index_t lsqr_max_iter = 0;     ///< 0 → LSQR default
   double sigma_drop = 1e-12;     ///< SVD truncation threshold (relative)
-  /// Sketching engine settings (kernel/distribution/parallelism). The
-  /// outer blocks are SketchConfig's defaults; the kji driver narrows b_n
-  /// to fill the thread team.
+  /// Sketching engine settings. The backend, parallelism and outer blocks
+  /// are SketchConfig's defaults; the kji driver narrows b_n to fill the
+  /// thread team.
   Dist dist = Dist::Uniform;
-  RngBackend backend = RngBackend::XoshiroBatch;
   KernelVariant kernel = KernelVariant::Kji;
-  ParallelOver parallel = ParallelOver::DBlocks;
 };
 
 template <typename T>
@@ -64,60 +61,8 @@ template <typename T>
 SapResult<T> sap_solve(const CscMatrix<T>& a, const std::vector<T>& b,
                        const SapOptions& options);
 
-/// Right preconditioner N built from the QR or SVD of the sketch Â, plus the
-/// cheap quality estimate the guarded driver gates on.
-template <typename T>
-struct SapPreconditioner {
-  SapFactor kind = SapFactor::QR;
-  DenseMatrix<T> r;      ///< QR path: n×n upper triangular R (N = R⁻¹)
-  DenseMatrix<T> n_mat;  ///< SVD path: n×rank, N = V·Σ⁺
-  index_t n = 0;
-  index_t rank = 0;      ///< retained rank (n on the QR path)
-  /// Condition estimate of Â: max|r_ii|/min|r_ii| on the QR path (a cheap
-  /// lower bound on cond₂) or σ_max/σ_min-retained on the SVD path. +inf
-  /// when the factor diagonal is zero or non-finite.
-  double cond_estimate = 0.0;
-  /// Whether the LSQR stage can run against this factor at all.
-  bool usable() const { return rank > 0 && std::isfinite(cond_estimate); }
-};
-
-/// Factor Â (consumed) into a right preconditioner. Unlike sap_solve, a
-/// degenerate sketch does NOT throw here — it comes back with rank 0 or an
-/// infinite cond_estimate so a guarded driver can re-sketch instead.
-template <typename T>
-SapPreconditioner<T> sap_build_preconditioner(DenseMatrix<T>&& a_hat,
-                                              SapFactor kind,
-                                              double sigma_drop);
-
-/// The preconditioned operator A·N. `a`, `p`, and `scratch` (resized to
-/// length n here) must all outlive the returned operator.
-template <typename T>
-LinearOperator<T> sap_preconditioned_operator(const CscMatrix<T>& a,
-                                              const SapPreconditioner<T>& p,
-                                              std::vector<T>& scratch);
-
-/// x (length n) := N·y (y of length p.rank) — maps LSQR's solution back.
-template <typename T>
-void sap_recover_solution(const SapPreconditioner<T>& p, const T* y, T* x);
-
 extern template struct SapResult<float>;
 extern template struct SapResult<double>;
-extern template struct SapPreconditioner<float>;
-extern template struct SapPreconditioner<double>;
-extern template SapPreconditioner<float> sap_build_preconditioner<float>(
-    DenseMatrix<float>&&, SapFactor, double);
-extern template SapPreconditioner<double> sap_build_preconditioner<double>(
-    DenseMatrix<double>&&, SapFactor, double);
-extern template LinearOperator<float> sap_preconditioned_operator<float>(
-    const CscMatrix<float>&, const SapPreconditioner<float>&,
-    std::vector<float>&);
-extern template LinearOperator<double> sap_preconditioned_operator<double>(
-    const CscMatrix<double>&, const SapPreconditioner<double>&,
-    std::vector<double>&);
-extern template void sap_recover_solution<float>(
-    const SapPreconditioner<float>&, const float*, float*);
-extern template void sap_recover_solution<double>(
-    const SapPreconditioner<double>&, const double*, double*);
 extern template SapResult<float> sap_solve<float>(const CscMatrix<float>&,
                                                   const std::vector<float>&,
                                                   const SapOptions&);

@@ -39,6 +39,11 @@ class numeric_error : public std::runtime_error {
 inline void require(bool cond, const std::string& msg) {
   if (!cond) throw invalid_argument_error(msg);
 }
+/// The same for a literal message: a check that holds builds no std::string,
+/// which matters in validate() loops that check every stored entry.
+inline void require(bool cond, const char* msg) {
+  if (!cond) throw invalid_argument_error(msg);
+}
 
 /// Integer ceiling division for nonnegative values.
 constexpr index_t ceil_div(index_t a, index_t b) { return (a + b - 1) / b; }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "perf/perf.hpp"
@@ -32,6 +33,30 @@ TEST(Guarded, CleanProblemSolvesFirstTry) {
   EXPECT_EQ(g.log[0].outcome, SapAttemptOutcome::Success);
   EXPECT_TRUE(g.result.converged);
   EXPECT_LT(ls_error_metric(a, g.result.x, b), 1e-8);
+}
+
+TEST(Guarded, CleanFirstAttemptIsSapSolveBitForBit) {
+  // One pipeline behind both solvers: a clean first attempt sketches with
+  // the same seed and d as sap_solve and returns its x byte for byte.
+  const auto a = tall_matrix();
+  const auto b = make_least_squares_rhs(a, 7);
+  for (const SapFactor factor : {SapFactor::QR, SapFactor::SVD}) {
+    GuardedSapOptions opt;
+    opt.base.factor = factor;
+    const auto g = guarded_sap_solve(a, b, opt);
+    const auto plain = sap_solve(a, b, opt.base);
+    ASSERT_EQ(g.attempts, 1);
+    EXPECT_EQ(g.log[0].d, static_cast<index_t>(std::ceil(
+                              opt.base.gamma * static_cast<double>(a.cols()))));
+    EXPECT_EQ(g.log[0].seed, opt.base.seed);
+    EXPECT_EQ(g.result.iterations, plain.iterations);
+    EXPECT_EQ(g.result.workspace_bytes, plain.workspace_bytes);
+    ASSERT_EQ(g.result.x.size(), plain.x.size());
+    EXPECT_EQ(std::memcmp(g.result.x.data(), plain.x.data(),
+                          plain.x.size() * sizeof(double)),
+              0)
+        << "factor=" << static_cast<int>(factor);
+  }
 }
 
 TEST(Guarded, PoisonedFirstSketchRecoversOnRetry) {

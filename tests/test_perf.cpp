@@ -12,6 +12,7 @@
 #include "perf/perf.hpp"
 #include "perf/report.hpp"
 #include "sketch/sketch.hpp"
+#include "solvers/guarded.hpp"
 #include "solvers/least_squares.hpp"
 #include "solvers/minimum_norm.hpp"
 #include "solvers/sap.hpp"
@@ -215,17 +216,24 @@ double sap_child_coverage(const perf::Snapshot& snap, const char* root) {
                                      : 0.0;
 }
 
-// Both SAP solvers time their whole run under a root span whose three phase
-// children account for it.
+// Every SAP solver times its whole run under a root span whose three
+// sap/* phase children account for it.
 TEST(PerfCore, SapSolveSpansCoverTheSolve) {
   SapOptions opt;
   opt.lsqr_max_iter = 500;
   {
     const auto a = random_sparse<double>(6000, 120, 0.03, 71);
     const auto b = make_least_squares_rhs(a, 72);
+    {
+      PerfToggle on(true);
+      sap_solve(a, b, opt);
+      EXPECT_GE(sap_child_coverage(perf::snapshot(), "sap_solve"), 0.95);
+    }
+    GuardedSapOptions gopt;
+    gopt.base = opt;
     PerfToggle on(true);
-    sap_solve(a, b, opt);
-    EXPECT_GE(sap_child_coverage(perf::snapshot(), "sap_solve"), 0.95);
+    guarded_sap_solve(a, b, gopt);
+    EXPECT_GE(sap_child_coverage(perf::snapshot(), "guarded_sap_solve"), 0.95);
   }
   {
     const auto a = random_sparse<double>(120, 6000, 0.03, 73);

@@ -2,11 +2,13 @@
 // invariants, sample counting, parallel determinism.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
 #include <vector>
 
 #include "sketch/sketch.hpp"
 #include "sketch/sketch_right.hpp"
+#include "sparse/convert.hpp"
 #include "sparse/generate.hpp"
 #include "sparse/validate.hpp"
 #include "testdata/faults.hpp"
@@ -94,6 +96,39 @@ TEST(SketchRight, ParallelMatchesSequentialExactly) {
   cfg.parallel = ParallelOver::DBlocks;
   sketch_right_into(cfg, a, par);
   EXPECT_EQ(seq, par);
+}
+
+/// A·Sᵀ is (S·Aᵀ)ᵀ, and both sides add the same products in the same order
+/// through the same micro-kernel axpy, so the right sketch must equal the
+/// transposed left sketch byte for byte (b_d = 16 does not divide d = 40).
+template <typename T>
+void expect_right_is_transposed_left(Dist dist) {
+  const auto a = random_sparse<T>(300, 60, 0.1, 5);
+  SketchConfig cfg;
+  cfg.d = 40;
+  cfg.block_d = 16;
+  cfg.dist = dist;
+  cfg.kernel = KernelVariant::Kji;
+  std::vector<T> right;
+  sketch_right_into(cfg, a, right);
+  DenseMatrix<T> left;
+  sketch_into(cfg, transpose(a), left);
+  int differs = 0;
+  for (index_t i = 0; i < a.rows(); ++i) {
+    for (index_t c = 0; c < cfg.d; ++c) {
+      differs += std::memcmp(&right[static_cast<std::size_t>(i * cfg.d + c)],
+                             &left(c, i), sizeof(T)) != 0;
+    }
+  }
+  EXPECT_EQ(differs, 0) << to_string(dist) << " sizeof(T)=" << sizeof(T);
+}
+
+TEST(SketchRight, BitwiseTransposeOfLeftSketch) {
+  for (const Dist dist : {Dist::PmOne, Dist::Uniform, Dist::UniformScaled,
+                          Dist::Gaussian}) {
+    expect_right_is_transposed_left<float>(dist);
+    expect_right_is_transposed_left<double>(dist);
+  }
 }
 
 TEST(SketchRight, PhiloxBlockingIndependent) {
