@@ -11,6 +11,7 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <unordered_map>
 #include <vector>
 
@@ -98,25 +99,31 @@ const std::string& unknown_name() {
 
 // ---- per-thread ring buffers ----------------------------------------------
 
+/// Frees a ring's raw storage.
+struct RingFree {
+  void operator()(Event* p) const { ::operator delete(p); }
+};
+
 struct ThreadTrace {
-  std::vector<Event> ring;  // capacity slots, allocated at registration
+  /// capacity slots, allocated at registration and never filled: record()
+  /// constructs each event in place, and only written slots are read.
+  std::unique_ptr<Event, RingFree> ring;
+  std::size_t capacity = 0;
   std::uint64_t written = 0;
   int tid = 0;
   std::string thread_name;
 
   /// Events still in the ring, oldest first.
   void collect(std::vector<Event>& out) const {
-    const std::size_t cap = ring.size();
-    if (cap == 0) return;
-    const std::uint64_t kept = std::min<std::uint64_t>(written, cap);
+    if (capacity == 0) return;
+    const std::uint64_t kept = std::min<std::uint64_t>(written, capacity);
     for (std::uint64_t k = written - kept; k < written; ++k) {
-      out.push_back(ring[static_cast<std::size_t>(k % cap)]);
+      out.push_back(ring.get()[static_cast<std::size_t>(k % capacity)]);
     }
   }
 
   std::uint64_t dropped() const {
-    const std::size_t cap = ring.size();
-    return cap == 0 || written <= cap ? 0 : written - cap;
+    return capacity == 0 || written <= capacity ? 0 : written - capacity;
   }
 };
 
@@ -183,8 +190,17 @@ struct ThreadTraceHolder {
 
   ThreadTraceHolder() {
     Registry& reg = Registry::instance();
+    std::size_t capacity = 0;
+    {
+      std::lock_guard<std::mutex> lock(reg.mu);
+      capacity = reg.resolve_capacity();
+    }
+    // Allocated outside the lock: threads that start tracing together do not
+    // wait on one another's ring.
+    rec.ring.reset(
+        static_cast<Event*>(::operator new(capacity * sizeof(Event))));
+    rec.capacity = capacity;
     std::lock_guard<std::mutex> lock(reg.mu);
-    rec.ring.resize(reg.resolve_capacity());
     rec.tid = reg.next_tid++;
     reg.live.push_back(&rec);
   }
@@ -205,12 +221,8 @@ ThreadTrace& local_trace() {
 
 inline void record(EventType type, std::uint32_t name_id, double value) {
   ThreadTrace& tt = local_trace();
-  const std::size_t cap = tt.ring.size();
-  Event& e = tt.ring[static_cast<std::size_t>(tt.written % cap)];
-  e.ts_ns = now_ns();
-  e.name_id = name_id;
-  e.type = type;
-  e.value = value;
+  Event* const slot = tt.ring.get() + tt.written % tt.capacity;
+  ::new (slot) Event{now_ns(), name_id, type, value};
   ++tt.written;
 }
 

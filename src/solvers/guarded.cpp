@@ -65,7 +65,8 @@ std::string with_attempt_log(const std::string& msg,
   os << "guarded_sap_solve: " << msg << ";";
   for (const SapAttemptLog& l : log) {
     os << " [attempt " << l.attempt << ": " << to_string(l.outcome)
-       << ", d=" << l.d << ", cond~" << l.cond_estimate << "]";
+       << ", seed=" << l.seed << ", d=" << l.d << ", cond~" << l.cond_estimate
+       << "]";
   }
   return os.str();
 }
@@ -134,16 +135,19 @@ GuardedSapResult<T> guarded_sap_solve(const CscMatrix<T>& a,
     return SapAttemptOutcome::Success;
   };
 
+  // The current attempt's log and clock, which a stop inside it reports.
+  SapAttemptLog log;
+  Timer attempt_timer;
   try {
     for (; attempt < options.max_attempts; ++attempt) {
+      log = SapAttemptLog{};
+      log.attempt = attempt + 1;
+      attempt_timer.reset();
       // A fired bound stops the solve exactly once, BEFORE the attempt starts —
       // a dead clock or exhausted budget must not burn the remaining attempts
       // one timeout at a time. The poll's throw lands in the catch below,
       // which logs the stop as its own outcome and re-raises with the log.
       if (run != nullptr) run->poll();
-      Timer attempt_timer;
-      SapAttemptLog log;
-      log.attempt = attempt + 1;
       // Timeline marker per attempt (value = 1-based attempt number) so retries
       // and d-escalations are visible between the sketch/factor/lsqr slices.
       if (perf::trace::armed()) {
@@ -177,12 +181,12 @@ GuardedSapResult<T> guarded_sap_solve(const CscMatrix<T>& a,
       return out;
     }
   } catch (const run_stopped_error& e) {
-    // Log the stop as its own outcome and re-raise with the attempt history
-    // attached, so a stopped solve is as diagnosable as a failed one.
-    SapAttemptLog stopped;
-    stopped.attempt = attempt + 1;
-    stopped.outcome = outcome_of(e.cause());
-    out.log.push_back(stopped);
+    // Log the stopped attempt, with the d, seed and condition estimate it
+    // reached, under the stop as its outcome, and re-raise with the attempt
+    // history attached, so a stopped solve is as diagnosable as a failed one.
+    log.outcome = outcome_of(e.cause());
+    log.seconds = attempt_timer.seconds();
+    out.log.push_back(log);
     count_stop(e.cause());
     throw run_stopped_error(e.cause(), with_attempt_log(e.what(), out.log));
   }

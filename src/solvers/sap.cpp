@@ -13,6 +13,7 @@
 #include "solvers/svd.hpp"
 #include "solvers/triangular.hpp"
 #include "sparse/ops.hpp"
+#include "support/run_control.hpp"
 #include "support/timer.hpp"
 
 namespace rsketch {
@@ -283,7 +284,10 @@ SapResult<T> sap_solve(const CscMatrix<T>& a, const std::vector<T>& b,
   require(options.gamma > 1.0, "sap_solve: gamma must exceed 1");
 
   perf::Span root("sap_solve");
-  SapPipeline<T> pipe(options, nullptr);
+  // RSKETCH_DEADLINE_MS / RSKETCH_BUDGET_MB bound the whole solve, as they do
+  // the guarded one; with neither set the control stays null.
+  ResolvedRunControl rrc(nullptr, 0.0, 0);
+  SapPipeline<T> pipe(options, rrc.get());
   SapAttemptLog log;
   log.d = pipe.sketch_rows(n);
   log.seed = options.seed;
