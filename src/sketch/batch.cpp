@@ -116,12 +116,9 @@ JobHandle SketchBatch::enqueue(std::function<SketchStats(RunControl*)> body,
         // while queued: the body never runs, the output is never touched,
         // and the stop surfaces on the handle exactly once.
         job->control.poll();
-        if (large && options_.serialize_large_jobs) {
-          std::lock_guard<std::mutex> omp_gate(large_mu_);
-          stats = body(&job->control);
-        } else {
-          stats = body(&job->control);
-        }
+        std::unique_lock<std::mutex> omp_gate(large_mu_, std::defer_lock);
+        if (large) omp_gate.lock();
+        stats = body(&job->control);
       } catch (...) {
         error = std::current_exception();
       }

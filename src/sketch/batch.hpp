@@ -9,9 +9,9 @@
 // (bitwise-safe: thread count and parallel mode never change Â's bits, see
 // sketch/sketch.cpp's ladder invariant), so N workers run N jobs
 // concurrently with zero intra-job coordination; jobs too large for that
-// keep their OpenMP-parallel kernel configuration and (by default) run one
-// at a time under an internal lock so the pool and the OMP team never
-// oversubscribe the machine.
+// keep their OpenMP-parallel kernel configuration and run one at a time
+// under an internal lock so the pool and the OMP team never oversubscribe
+// the machine.
 //
 // Run control fans out: every job gets a child RunControl chained to the
 // batch-level control, so cancel()/deadline/budget at the batch stops every
@@ -61,9 +61,6 @@ struct BatchOptions {
   /// Flop threshold (2·d·nnz) above which a job is "large" (0 = the
   /// built-in default, kLargeJobFlops).
   double large_job_flops = 0.0;
-  /// Run large (OpenMP-parallel) jobs one at a time so the pool and the OMP
-  /// team never oversubscribe. Turn off only when workers ≪ cores.
-  bool serialize_large_jobs = true;
   /// TEST HOOK: pin every submit to this worker's queue (-1 = round-robin).
   /// A skewed placement forces the other workers to steal.
   int submit_worker = -1;

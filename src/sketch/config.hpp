@@ -24,12 +24,11 @@ enum class KernelVariant {
         ///< sparsity-pattern-dependent access.
 };
 
-/// Which outer loop of Algorithm 1 is parallelized (§II-C).
+/// Whether Algorithm 1's outer loops run on the OpenMP team (§II-C).
 enum class ParallelOver {
   Sequential,  ///< no threading
-  DBlocks,     ///< threads split the d-dimension (rows of Â) — disjoint
-               ///< row panels, no synchronization
-  NBlocks      ///< threads split the n-dimension (columns of Â and A)
+  DBlocks      ///< LPT over (i-block, j-block) pairs — disjoint output
+               ///< panels, no synchronization
 };
 
 /// How sketch_into() chooses (kernel, blocks, isa) before
@@ -52,7 +51,6 @@ enum class OnPressure {
 };
 
 std::string to_string(KernelVariant k);
-std::string to_string(ParallelOver p);
 std::string to_string(TuneMode t);
 std::string to_string(OnPressure p);
 

@@ -131,12 +131,6 @@ index_t row_blocks(const SketchConfig& cfg) {
   return cfg.d == 0 ? 0 : ceil_div(cfg.d, cfg.row_block());
 }
 
-/// Schedulable items per column block: the whole slab when the kernel
-/// schedules slabs, else one (i-block, j-block) pair per row block.
-index_t items_per_jblock(const SketchConfig& cfg, bool slabs) {
-  return slabs ? 1 : row_blocks(cfg);
-}
-
 // ------------------------------------------------------------ kernels --
 //
 // A block kernel plugs one compute kernel into run_outer_blocks(). The
@@ -144,8 +138,6 @@ index_t items_per_jblock(const SketchConfig& cfg, bool slabs) {
 // handed to block() as (i0, d1) — and the kernel supplies the rest:
 //   using value_type;
 //   index_t jblocks() const;     column blocks of the output
-//   bool slabs() const;          schedule whole column slabs (NBlocks)
-//                                instead of single (i-block, j-block) pairs
 //   BlockWork work(index_t jb) const;
 //                                what a block of column block jb does, per
 //                                row — feeds the cost model and the counters
@@ -181,22 +173,21 @@ struct KjiBlocks {
   DenseMatrix<T>& out;
   index_t bn;
 
-  /// b_n is cfg.block_n, narrowed when the grid has fewer schedulable items
-  /// than threads so that every thread owns one. b_d (which fixes S) stays;
-  /// b_n never changes a bit of Â (apply_budget_ladder in sketch.cpp).
+  /// b_n is cfg.block_n, narrowed when the grid has fewer (i-block, j-block)
+  /// pairs than threads so that every thread owns one. b_d (which fixes S)
+  /// stays; b_n never changes a bit of Â (apply_budget_ladder in sketch.cpp).
   KjiBlocks(const SketchConfig& cfg, const CscMatrix<T>& a,
             DenseMatrix<T>& out)
       : cfg(cfg), a(a), out(out),
         bn(std::min(cfg.block_n, std::max<index_t>(a.cols(), 1))) {
-    const index_t per_jblock = items_per_jblock(cfg, slabs());
+    const index_t iblocks = row_blocks(cfg);
     const index_t team = team_size(cfg);
-    if (a.cols() > 0 && per_jblock > 0 && per_jblock * jblocks() < team) {
-      bn = ceil_div(a.cols(), ceil_div(team, per_jblock));
+    if (a.cols() > 0 && iblocks > 0 && iblocks * jblocks() < team) {
+      bn = ceil_div(a.cols(), ceil_div(team, iblocks));
     }
   }
 
   index_t jblocks() const { return a.cols() == 0 ? 0 : ceil_div(a.cols(), bn); }
-  bool slabs() const { return cfg.parallel == ParallelOver::NBlocks; }
   BlockWork work(index_t jb) const {
     const index_t j0 = jb * bn;
     const index_t n1 = std::min(bn, a.cols() - j0);
@@ -219,12 +210,10 @@ struct KjiBlocks {
 template <typename T>
 struct JkiBlocks {
   using value_type = T;
-  const SketchConfig& cfg;
   const BlockedCsr<T>& ab;
   DenseMatrix<T>& out;
 
   index_t jblocks() const { return ab.num_blocks(); }
-  bool slabs() const { return cfg.parallel == ParallelOver::NBlocks; }
   BlockWork work(index_t jb) const {
     const auto& blk = ab.block(jb);
     return {blk.csr.cols(), blk.nonempty_rows, blk.nnz,
@@ -249,7 +238,6 @@ struct RightBlocks {
   index_t nonempty_cols;
 
   index_t jblocks() const { return 1; }
-  bool slabs() const { return false; }
   BlockWork work(index_t) const {
     return {a.rows(), nonempty_cols, a.nnz(),
             (static_cast<std::uint64_t>(a.cols()) + 1) * sizeof(index_t)};
@@ -280,12 +268,11 @@ struct RightBlocks {
 }  // namespace
 
 /// Algorithm 1's outer loop around one block kernel: builds the per-thread
-/// contexts, assigns schedule items — (i-block, j-block) pairs flattened
-/// jb-major, or whole j-block slabs — to threads through the cost-model
-/// schedule (sketch/schedule.hpp), polls `run` once per block, and merges
-/// counters and busy time after the join. Any assignment is bitwise-
-/// equivalent: blocks are disjoint and S columns are seed-checkpointed, so
-/// the schedule only moves work between threads.
+/// contexts, assigns (i-block, j-block) pairs, flattened jb-major, to threads
+/// through the cost-model schedule (sketch/schedule.hpp), polls `run` once
+/// per pair, and merges counters and busy time after the join. Any
+/// assignment is bitwise-equivalent: blocks are disjoint and S columns are
+/// seed-checkpointed, so the schedule only moves work between threads.
 template <typename K>
 SketchStats run_outer_blocks(const SketchConfig& cfg, const K& kernel,
                              const char* region, bool instrument,
@@ -296,7 +283,6 @@ SketchStats run_outer_blocks(const SketchConfig& cfg, const K& kernel,
   const index_t bd = cfg.row_block();
   const index_t n_iblocks = row_blocks(cfg);
   const index_t n_jblocks = kernel.jblocks();
-  const bool slabs = kernel.slabs();
   const auto d1_of = [&](index_t ib) { return std::min(bd, d - ib * bd); };
 
   const int nthreads = team_size(cfg);
@@ -308,13 +294,13 @@ SketchStats run_outer_blocks(const SketchConfig& cfg, const K& kernel,
       nthreads > 1 && (perf::enabled() || perf::trace::armed());
   CooperativeStop stop;
 
-  const index_t n_items = items_per_jblock(cfg, slabs) * n_jblocks;
+  const index_t n_items = n_iblocks * n_jblocks;
   const BlockSchedule sched = build_block_schedule(nthreads, n_items, [&] {
-    std::vector<double> costs(static_cast<std::size_t>(n_items), 0.0);
+    std::vector<double> costs(static_cast<std::size_t>(n_items));
     for (index_t jb = 0; jb < n_jblocks; ++jb) {
       const BlockWork w = kernel.work(jb);
       for (index_t ib = 0; ib < n_iblocks; ++ib) {
-        costs[static_cast<std::size_t>(slabs ? jb : jb * n_iblocks + ib)] +=
+        costs[static_cast<std::size_t>(jb * n_iblocks + ib)] =
             w.cost(d1_of(ib));
       }
     }
@@ -333,24 +319,21 @@ SketchStats run_outer_blocks(const SketchConfig& cfg, const K& kernel,
       const index_t begin = sched.offsets[static_cast<std::size_t>(t)];
       const index_t end = sched.offsets[static_cast<std::size_t>(t) + 1];
       for (index_t k = begin; k < end; ++k) {
+        if (stop.should_skip(run)) break;
         const index_t item = sched.items[static_cast<std::size_t>(k)];
-        const index_t jb = slabs ? item : item / n_iblocks;
-        const index_t ib0 = slabs ? 0 : item % n_iblocks;
-        const index_t ib1 = slabs ? n_iblocks : ib0 + 1;
-        for (index_t ib = ib0; ib < ib1; ++ib) {
-          if (stop.should_skip(run)) break;
-          const Timer busy;
-          kernel.block(ctx, ib * bd, d1_of(ib), jb);
-          if (track_busy) ctx.busy_seconds += busy.seconds();
-          if (count) {
-            // Exact counts from the block's structure, taken outside the
-            // kernels' nonzero loops.
-            const BlockWork w = kernel.work(jb);
-            ctx.counters.template add_block<T>(
-                static_cast<std::uint64_t>(w.columns),
-                static_cast<std::uint64_t>(w.nnz),
-                static_cast<std::uint64_t>(d1_of(ib)), w.index_bytes);
-          }
+        const index_t jb = item / n_iblocks;
+        const index_t ib = item % n_iblocks;
+        const Timer busy;
+        kernel.block(ctx, ib * bd, d1_of(ib), jb);
+        if (track_busy) ctx.busy_seconds += busy.seconds();
+        if (count) {
+          // Exact counts from the block's structure, taken outside the
+          // kernels' nonzero loops.
+          const BlockWork w = kernel.work(jb);
+          ctx.counters.template add_block<T>(
+              static_cast<std::uint64_t>(w.columns),
+              static_cast<std::uint64_t>(w.nnz),
+              static_cast<std::uint64_t>(d1_of(ib)), w.index_bytes);
         }
       }
     }
@@ -386,7 +369,7 @@ SketchStats sketch_blocked_jki(const SketchConfig& cfg, const BlockedCsr<T>& ab,
   cfg.validate();
   require(a_hat.rows() == cfg.d && a_hat.cols() == ab.cols(),
           "sketch_blocked_jki: a_hat must be d x n");
-  SketchStats stats = run_outer_blocks(cfg, JkiBlocks<T>{cfg, ab, a_hat},
+  SketchStats stats = run_outer_blocks(cfg, JkiBlocks<T>{ab, a_hat},
                                        "sketch_blocked_jki", instrument, run);
   stats.block_n = ab.num_blocks() > 0 ? ab.block_width(0) : 0;
   return stats;

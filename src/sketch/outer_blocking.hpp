@@ -1,9 +1,9 @@
 // Algorithm 1 of the paper: the (⌈d/b_d⌉, 1, ⌈n/b_n⌉) outer blocking loop
-// that drives a compute kernel over block pairs, with OpenMP parallelism
-// over either outer loop (§II-C). One driver in outer_blocking.cpp runs
-// all three block kernels — kji, jki and the right sketch — so the thread
-// team, the cost-model schedule, the stop latch and the busy accounting are
-// shared.
+// that drives a compute kernel over block pairs, with OpenMP threads taking
+// single (i-block, j-block) pairs, so both outer loops run in parallel
+// (§II-C). One driver in outer_blocking.cpp runs all three block kernels —
+// kji, jki and the right sketch — so the thread team, the cost-model
+// schedule, the stop latch and the busy accounting are shared.
 #pragma once
 
 #include <vector>

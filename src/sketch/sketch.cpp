@@ -25,15 +25,6 @@ std::string to_string(KernelVariant k) {
   return "?";
 }
 
-std::string to_string(ParallelOver p) {
-  switch (p) {
-    case ParallelOver::Sequential: return "sequential";
-    case ParallelOver::DBlocks: return "parallel-d";
-    case ParallelOver::NBlocks: return "parallel-n";
-  }
-  return "?";
-}
-
 std::string to_string(TuneMode t) {
   switch (t) {
     case TuneMode::Off: return "off";
@@ -176,8 +167,9 @@ std::uint64_t apply_budget_ladder(SketchConfig& eff, const CscMatrix<T>& a,
     perf::add_span(std::string("run_control/degrade/") + rung, 0.0);
   };
   while (estimate() > run.remaining_bytes()) {
-    if (eff.parallel != ParallelOver::Sequential) {
-      // R1: drop the thread team — scratch shrinks by ~nthreads×.
+    if (team_size(eff) > 1) {
+      // R1: drop the thread team — scratch shrinks by ~nthreads×. A
+      // one-thread team already runs one scratch vector, so it skips R1.
       eff.parallel = ParallelOver::Sequential;
       step("sequential");
     } else if (eff.kernel == KernelVariant::Jki &&

@@ -23,6 +23,7 @@
 #include "sparse/blocked_csr.hpp"
 #include "sparse/generate.hpp"
 #include "support/memory_tracker.hpp"
+#include "support/parallel.hpp"
 #include "support/run_control.hpp"
 #include "testdata/faults.hpp"
 
@@ -295,6 +296,49 @@ TEST(RunControlBudget, LadderDegradesToBitwiseIdenticalSketch) {
   DenseMatrix<double> degraded;
   const auto stats = sketch_into(tight, a, degraded);
   EXPECT_GE(stats.degradations, 1u);
+  expect_bitwise_equal(unbounded, degraded);
+}
+
+TEST(RunControlBudget, OneThreadTeamSkipsTheSequentialRung) {
+  // On a one-thread team DBlocks already plans one scratch vector, so
+  // dropping to Sequential would shrink nothing: the ladder must not take
+  // (or count) that rung, only the two that shrink the estimate.
+  ThreadCountGuard one(1);
+  const auto a = test_matrix();
+  SketchConfig cfg;
+  cfg.d = 40;
+  cfg.kernel = KernelVariant::Jki;
+  cfg.block_n = 16;
+  cfg.parallel = ParallelOver::DBlocks;
+  DenseMatrix<double> unbounded;
+  sketch_into(cfg, a, unbounded);
+
+  const auto estimate = [&](const SketchConfig& c) {
+    return sketch_workspace_estimate<double>(c, a.rows(), a.cols(), a.nnz());
+  };
+  SketchConfig sequential = cfg;
+  sequential.parallel = ParallelOver::Sequential;
+  SketchConfig widened = cfg;
+  widened.block_n = a.cols();
+  SketchConfig floor_cfg = widened;
+  floor_cfg.kernel = KernelVariant::Kji;
+  ASSERT_EQ(estimate(sequential), estimate(cfg));
+  ASSERT_LT(estimate(widened), estimate(cfg));
+  ASSERT_LT(estimate(floor_cfg), estimate(widened));
+
+  perf::set_enabled(true);
+  perf::reset();
+  SketchConfig tight = cfg;
+  tight.workspace_budget_bytes = estimate(floor_cfg);
+  DenseMatrix<double> degraded;
+  const auto stats = sketch_into(tight, a, degraded);
+  const auto snap = perf::snapshot();
+  perf::set_enabled(false);
+  EXPECT_EQ(stats.degradations, 2u);  // widen_block_n, kernel_kji
+  EXPECT_EQ(snap.get(perf::Counter::RunDegradations), 2u);
+  EXPECT_EQ(snap.spans.count("run_control/degrade/sequential"), 0u);
+  EXPECT_EQ(snap.spans.count("run_control/degrade/widen_block_n"), 1u);
+  EXPECT_EQ(snap.spans.count("run_control/degrade/kernel_kji"), 1u);
   expect_bitwise_equal(unbounded, degraded);
 }
 

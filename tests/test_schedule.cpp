@@ -168,8 +168,7 @@ std::vector<microkernel::Isa> supported_isas() {
 }
 
 template <typename T>
-void check_parallel_matches_sequential(KernelVariant kernel,
-                                       ParallelOver mode) {
+void check_parallel_matches_sequential(KernelVariant kernel) {
   const auto a = random_sparse<T>(150, 60, 0.08, 31);
   for (const microkernel::Isa isa : supported_isas()) {
     SketchConfig cfg;
@@ -193,10 +192,8 @@ void check_parallel_matches_sequential(KernelVariant kernel,
     // on a small CI box too: the scheduled walk is team-shrink-safe.
     for (const int threads : {2, 3, 4}) {
       ThreadCountGuard guard(threads);
-      SketchConfig par = cfg;
-      par.parallel = mode;
       DenseMatrix<T> got(cfg.d, a.cols());
-      const SketchStats ps = sketch_into(par, a, got);
+      const SketchStats ps = sketch_into(cfg, a, got);
       expect_bitwise_equal(
           want, got,
           std::string("kernel=") + to_string(kernel) + " isa=" +
@@ -210,28 +207,16 @@ void check_parallel_matches_sequential(KernelVariant kernel,
 }
 
 TEST(ScheduleBitwise, KjiDBlocksFloat) {
-  check_parallel_matches_sequential<float>(KernelVariant::Kji,
-                                           ParallelOver::DBlocks);
+  check_parallel_matches_sequential<float>(KernelVariant::Kji);
 }
 TEST(ScheduleBitwise, KjiDBlocksDouble) {
-  check_parallel_matches_sequential<double>(KernelVariant::Kji,
-                                            ParallelOver::DBlocks);
-}
-TEST(ScheduleBitwise, KjiNBlocksDouble) {
-  check_parallel_matches_sequential<double>(KernelVariant::Kji,
-                                            ParallelOver::NBlocks);
+  check_parallel_matches_sequential<double>(KernelVariant::Kji);
 }
 TEST(ScheduleBitwise, JkiDBlocksFloat) {
-  check_parallel_matches_sequential<float>(KernelVariant::Jki,
-                                           ParallelOver::DBlocks);
+  check_parallel_matches_sequential<float>(KernelVariant::Jki);
 }
 TEST(ScheduleBitwise, JkiDBlocksDouble) {
-  check_parallel_matches_sequential<double>(KernelVariant::Jki,
-                                            ParallelOver::DBlocks);
-}
-TEST(ScheduleBitwise, JkiNBlocksDouble) {
-  check_parallel_matches_sequential<double>(KernelVariant::Jki,
-                                            ParallelOver::NBlocks);
+  check_parallel_matches_sequential<double>(KernelVariant::Jki);
 }
 
 TEST(ScheduleBitwise, SequentialMatchesParallelBalanced) {
