@@ -34,6 +34,7 @@
 #include "sparse/ops.hpp"
 #include "sparse/validate.hpp"
 #include "support/cli.hpp"
+#include "support/env.hpp"
 #include "support/run_control.hpp"
 #include "support/timer.hpp"
 
@@ -62,8 +63,10 @@ int usage(const char* prog) {
                "(docs/AUTOTUNING.md; default: model blocks only)\n"
                "  --trace PATH records a Chrome-trace timeline to PATH "
                "(same as RSKETCH_TRACE=PATH; docs/OBSERVABILITY.md)\n"
-               "  --deadline-ms T / --budget-mb M bound the run "
-               "(same as RSKETCH_DEADLINE_MS / RSKETCH_BUDGET_MB)\n"
+               "  --deadline-ms T / --budget-mb M bound the command: the "
+               "sketch, the solve (all attempts) or the whole batch;\n"
+               "    without the flag, RSKETCH_DEADLINE_MS / RSKETCH_BUDGET_MB "
+               "give the same bound\n"
                "  --on-pressure fail|degrade picks the budget-pressure policy "
                "(default degrade; docs/ROBUSTNESS.md)\n"
                "  --block-d D / --block-n N pin the outer blocks "
@@ -88,6 +91,20 @@ OnPressure parse_on_pressure(const std::string& s) {
   if (s == "degrade") return OnPressure::Degrade;
   throw invalid_argument_error("unknown --on-pressure '" + s +
                                "' (want fail|degrade)");
+}
+
+/// The run bounds of one command: --deadline-ms and --budget-mb, each
+/// falling back to RSKETCH_DEADLINE_MS / RSKETCH_BUDGET_MB when the flag is
+/// absent. The library reads no bound from the environment; this does.
+RunBounds bounds_from_flags(const CliArgs& args) {
+  RunBounds bounds;
+  bounds.deadline_ms = args.get_double(
+      "deadline-ms", env_double("RSKETCH_DEADLINE_MS", 0.0));
+  const double budget_mb =
+      args.get_double("budget-mb", env_double("RSKETCH_BUDGET_MB", 0.0));
+  require(budget_mb >= 0.0, "--budget-mb must be >= 0 (0 = no budget)");
+  bounds.workspace_budget_bytes = static_cast<std::size_t>(budget_mb * 1e6);
+  return bounds;
 }
 
 /// The sketch flags `sketch` and `batch` share: --gamma, --dist, --kernel,
@@ -147,9 +164,7 @@ int cmd_sketch(const CliArgs& args, const CscMatrix<double>& a) {
   }
   SketchConfig cfg = sketch_config_from_flags(
       args, a, static_cast<std::uint64_t>(args.get_int("seed", 42)));
-  cfg.deadline_ms = args.get_double("deadline-ms", 0.0);
-  cfg.workspace_budget_bytes = static_cast<std::size_t>(
-      args.get_double("budget-mb", 0.0) * 1e6);
+  cfg.bounds = bounds_from_flags(args);
   TuneDecision decision;
   const std::string tune = args.get("tune", "");
   const index_t block_d_flag =
@@ -216,8 +231,7 @@ int cmd_sketch(const CliArgs& args, const CscMatrix<double>& a) {
     // budget ladder may change it); the bits are those of the printed blocks.
     std::printf("ran b_n=%lld\n", static_cast<long long>(stats.block_n));
   }
-  if (cfg.deadline_ms > 0.0 || cfg.workspace_budget_bytes > 0 ||
-      env_deadline_ms() > 0.0 || env_budget_bytes() > 0) {
+  if (cfg.bounds.deadline_ms > 0.0 || cfg.bounds.workspace_budget_bytes > 0) {
     // Run-control summary: scripted callers grep this line (and the JSON
     // counter below) to confirm the ladder engaged.
     std::printf("degradations=%llu\n",
@@ -250,6 +264,9 @@ int cmd_solve(const CliArgs& args, CscMatrix<double> a) {
   SapOptions opt;
   opt.factor = args.has("svd") ? SapFactor::SVD : SapFactor::QR;
   opt.gamma = args.get_double("gamma", 2.0);
+  // The bounds span the whole solve, and every attempt of a guarded one: an
+  // expired clock stops the solve before the next attempt starts.
+  opt.bounds = bounds_from_flags(args);
 
   SapResult<double> res;
   int attempts = 1;
@@ -259,11 +276,6 @@ int cmd_solve(const CliArgs& args, CscMatrix<double> a) {
     gopt.base = opt;
     gopt.max_attempts = static_cast<int>(args.get_int("attempts", 3));
     gopt.check_inputs = !args.has("no-check");
-    // The deadline spans ALL attempts (exactly-once semantics): an expired
-    // clock stops the solve before the next attempt starts.
-    gopt.deadline_ms = args.get_double("deadline-ms", 0.0);
-    gopt.workspace_budget_bytes = static_cast<std::size_t>(
-        args.get_double("budget-mb", 0.0) * 1e6);
     // Fault-injection aid (see docs/ROBUSTNESS.md): deliberately poison the
     // first N sketches so the recovery path is demonstrable end to end.
     gopt.poison_first_attempts = static_cast<int>(args.get_int("poison", 0));
@@ -369,9 +381,7 @@ int cmd_batch(const CliArgs& args) {
 
   BatchOptions bopt;
   bopt.workers = static_cast<int>(args.get_int("workers", 0));
-  bopt.deadline_ms = args.get_double("deadline-ms", 0.0);
-  bopt.workspace_budget_bytes =
-      static_cast<std::size_t>(args.get_double("budget-mb", 0.0) * 1e6);
+  bopt.bounds = bounds_from_flags(args);
 
   // Load every distinct matrix ONCE: manifests typically sketch one input
   // under many seeds, and sharing the parsed CSC across jobs is part of the

@@ -55,11 +55,7 @@ SketchBatch::SketchBatch(BatchOptions options)
     : options_(options),
       cache_bytes_(detect_cache_bytes()),
       exec_(options.workers) {
-  if (options_.deadline_ms > 0.0) control_.set_deadline_ms(options_.deadline_ms);
-  if (options_.workspace_budget_bytes > 0) {
-    control_.set_budget_bytes(options_.workspace_budget_bytes);
-  }
-  control_.set_parent(options_.control);
+  control_.arm(options_.bounds);
 }
 
 SketchBatch::~SketchBatch() {
@@ -111,6 +107,9 @@ JobHandle SketchBatch::enqueue(std::function<SketchStats(RunControl*)> body,
       // waiter may snapshot the trace the moment wait() returns, and the
       // end event has to already be in this worker's ring by then.
       perf::Span span("batch/job");
+      // The job is the outermost bounded call on this worker: it counts its
+      // stop once, and the sketch or solve inside passes the stop on.
+      const ResolvedRunControl job_bounds({.control = &job->control});
       try {
         // Fail fast on jobs that were cancelled (or missed the deadline)
         // while queued: the body never runs, the output is never touched,
@@ -119,6 +118,9 @@ JobHandle SketchBatch::enqueue(std::function<SketchStats(RunControl*)> body,
         std::unique_lock<std::mutex> omp_gate(large_mu_, std::defer_lock);
         if (large) omp_gate.lock();
         stats = body(&job->control);
+      } catch (const run_stopped_error& e) {
+        job_bounds.count_stop(e.cause());
+        error = std::current_exception();
       } catch (...) {
         error = std::current_exception();
       }

@@ -49,15 +49,11 @@ namespace rsketch {
 struct BatchOptions {
   /// Pool size (0 = omp_get_max_threads()).
   int workers = 0;
-  /// Batch-wide wall-clock deadline in ms (0 = none): every job still
-  /// queued or running when it fires stops with DeadlineExceeded.
-  double deadline_ms = 0.0;
-  /// Batch-wide workspace byte budget (0 = none) covering the shared arena
-  /// and every job's tracked scratch. Jobs that no longer fit walk the
-  /// per-job degradation ladder (or fail, per their cfg.on_pressure).
-  std::size_t workspace_budget_bytes = 0;
-  /// Optional external control the batch control chains to. Not owned.
-  RunControl* control = nullptr;
+  /// Batch-wide bounds, armed when the batch is built: a fired bound stops
+  /// every job still queued or running. The budget covers the shared arena
+  /// and every job's tracked scratch; jobs that no longer fit walk the
+  /// degradation ladder (or fail, per their cfg.on_pressure).
+  RunBounds bounds;
   /// Flop threshold (2·d·nnz) above which a job is "large" (0 = the
   /// built-in default, kLargeJobFlops).
   double large_job_flops = 0.0;
@@ -131,14 +127,15 @@ class SketchBatch {
   /// Enqueue one sketch job: `out` receives Â = S·A exactly as a direct
   /// sketch_into(cfg, a, out) call would produce it, bit for bit. `a` and
   /// `out` are borrowed until the job finishes (wait on the handle or
-  /// wait_all()). cfg.control/cfg.arena must be null — the batch owns both
-  /// per-job wiring points; use BatchOptions for batch-level bounds.
+  /// wait_all()). cfg.bounds.control/cfg.arena must be null — the batch
+  /// owns both per-job wiring points; use BatchOptions for batch-level
+  /// bounds.
   template <typename T>
   JobHandle submit(SketchConfig cfg, const CscMatrix<T>& a,
                    DenseMatrix<T>& out) {
-    require(cfg.control == nullptr,
-            "SketchBatch::submit: cfg.control is owned by the batch; set "
-            "BatchOptions::control for an external handle");
+    require(cfg.bounds.control == nullptr,
+            "SketchBatch::submit: cfg.bounds.control is owned by the batch; "
+            "set BatchOptions::bounds instead");
     require(cfg.arena == nullptr,
             "SketchBatch::submit: cfg.arena is owned by the batch");
     if (cfg.tune != TuneMode::Off) cfg = resolve_shared(cfg, a);
@@ -149,7 +146,7 @@ class SketchBatch {
     return enqueue(
         [this, cfg, ap, outp](RunControl* run) {
           SketchConfig c = cfg;
-          c.control = run;
+          c.bounds.control = run;
           c.arena = &arena_;
           return sketch_into(c, *ap, *outp);
         },
@@ -165,15 +162,15 @@ class SketchBatch {
   JobHandle submit_guarded_solve(GuardedSapOptions options,
                                  const CscMatrix<T>& a, const std::vector<T>& b,
                                  GuardedSapResult<T>& out) {
-    require(options.control == nullptr,
-            "SketchBatch::submit_guarded_solve: options.control is owned by "
-            "the batch; set BatchOptions::control for an external handle");
+    require(options.base.bounds.control == nullptr,
+            "SketchBatch::submit_guarded_solve: options.base.bounds.control "
+            "is owned by the batch; set BatchOptions::bounds instead");
     const CscMatrix<T>* ap = &a;
     const std::vector<T>* bp = &b;
     GuardedSapResult<T>* outp = &out;
     return enqueue(
         [options, ap, bp, outp](RunControl* run) mutable {
-          options.control = run;
+          options.base.bounds.control = run;
           *outp = guarded_sap_solve(*ap, *bp, options);
           return SketchStats{};
         },
@@ -193,9 +190,6 @@ class SketchBatch {
   std::uint64_t steals() const { return exec_.steals(); }
   std::size_t queue_depth() const { return exec_.queue_depth(); }
 
-  /// Batch-level control (deadline/budget/cancel root). Exposed for tests
-  /// and for callers that coordinate several batches.
-  RunControl& control() { return control_; }
   /// The shared recycling arena (reuse_hits/slab_allocs/held_bytes).
   WorkspaceArena& arena() { return arena_; }
 

@@ -9,10 +9,10 @@
 #include "perf/counters.hpp"
 #include "rng/distributions.hpp"
 #include "support/common.hpp"
+#include "support/run_control.hpp"
 
 namespace rsketch {
 
-class RunControl;
 class ArenaHook;
 
 /// Compute-kernel variant (paper §II-B).
@@ -82,22 +82,10 @@ struct SketchConfig {
   /// every tier produces bitwise-identical Â, so this is a pure speed knob.
   microkernel::Isa isa = microkernel::Isa::Auto;
 
-  // --- Run control (support/run_control.hpp; docs/ROBUSTNESS.md) ---------
-  /// Wall-clock deadline in milliseconds for this call (0 = none; the
-  /// RSKETCH_DEADLINE_MS env knob back-stops a zero here). A run past its
-  /// deadline throws run_stopped_error(DeadlineExceeded) within one outer
-  /// block, leaving the output untouched.
-  double deadline_ms = 0.0;
-  /// Workspace byte budget for this call's scratch allocations beyond the
-  /// input and the output (0 = none; RSKETCH_BUDGET_MB back-stops). What
-  /// happens on pressure is `on_pressure`.
-  std::size_t workspace_budget_bytes = 0;
+  /// Run bounds of this call (docs/ROBUSTNESS.md "Run control"). A stopped
+  /// call throws run_stopped_error and leaves the output untouched.
+  RunBounds bounds;
   OnPressure on_pressure = OnPressure::Degrade;
-  /// Optional external handle for cooperative cancellation (and/or caller-
-  /// managed deadline and budget). Not owned; must outlive the call. With
-  /// this null and no deadline/budget set, the hot path pays one predictable
-  /// branch per outer block.
-  RunControl* control = nullptr;
   /// Optional workspace arena (support/arena.hpp) serving the kernels'
   /// scratch allocations — SketchBatch installs its shared recycling arena
   /// here so a stream of jobs reuses slabs instead of paying
@@ -117,7 +105,6 @@ struct SketchConfig {
     require(d >= 0, "SketchConfig: d must be nonnegative");
     require(block_d >= 1, "SketchConfig: block_d must be >= 1");
     require(block_n >= 1, "SketchConfig: block_n must be >= 1");
-    require(deadline_ms >= 0.0, "SketchConfig: deadline_ms must be >= 0");
   }
 };
 

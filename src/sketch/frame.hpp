@@ -1,6 +1,6 @@
 // The one pipeline frame every sketch entry point runs in:
 //
-//   validate → (tune) → arm run control → stage → body → post-scale → publish
+//   validate → arm run control → (tune) → stage → body → post-scale → publish
 //
 // sketch_into, sketch_into_prepartitioned and sketch_right_into differ only
 // in the steps they plug in; validation order, run control, clean-throw
@@ -22,7 +22,7 @@ struct SketchFrame {
   /// The cfg.check_inputs scan of the input (throws validation_error).
   std::function<void()> check = nullptr;
   /// Resolve cfg.tune into an effective config; empty when the entry point
-  /// has no tuner (only sketch_into has one).
+  /// has no tuner (only sketch_into has one). Runs under the armed bounds.
   std::function<SketchConfig(const SketchConfig&)> tune = nullptr;
   /// Size an output buffer for the body (and zero it when the body
   /// accumulates without zeroing its own panels).
@@ -40,12 +40,11 @@ void fit(DenseMatrix<T>& out, index_t rows, index_t cols) {
   if (out.rows() != rows || out.cols() != cols) out.reset(rows, cols);
 }
 
-/// Run `steps` under the frame. Unarmed calls (no control, deadline or
-/// budget, from the config or the RSKETCH_DEADLINE_MS / RSKETCH_BUDGET_MB
-/// env) write `out` in place with no staging copy. Armed calls stage into a
+/// Run `steps` under the frame. Unbounded calls (cfg.bounds all default)
+/// write `out` in place with no staging copy. Bounded calls stage into a
 /// private buffer published only on success, so a stopped call leaves `out`
-/// untouched, and count the stop once into run_cancelled /
-/// run_deadline_hits / run_budget_hits before rethrowing.
+/// untouched, and count the stop once (ResolvedRunControl::count_stop)
+/// before rethrowing.
 template <typename Out>
 SketchStats sketch_frame(const SketchConfig& cfg, Out& out,
                          const SketchFrame<Out>& steps);

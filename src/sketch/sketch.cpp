@@ -210,10 +210,7 @@ SketchStats sketch_frame(const SketchConfig& cfg, Out& out,
     perf::Span span("validate_inputs");
     steps.check();
   }
-  const SketchConfig eff =
-      cfg.tune != TuneMode::Off && steps.tune ? steps.tune(cfg) : cfg;
-  ResolvedRunControl rrc(eff.control, eff.deadline_ms,
-                         eff.workspace_budget_bytes);
+  ResolvedRunControl rrc(cfg.bounds);
   RunControl* const run = rrc.get();
   // Unarmed: the body writes the caller's output in place. Armed: it writes
   // a private staging buffer that replaces `out` only once the whole call
@@ -222,6 +219,13 @@ SketchStats sketch_frame(const SketchConfig& cfg, Out& out,
   Out& target = run == nullptr ? out : staging;
   try {
     if (run != nullptr) run->poll();
+    SketchConfig eff = cfg;
+    if (cfg.tune != TuneMode::Off && steps.tune) {
+      // The tuner's pilots poll this call's control: the bounds are armed
+      // once, here, and the tuning time counts against them.
+      eff.bounds = {.control = run};
+      eff = steps.tune(eff);
+    }
     // Staged before the budget scope installs (the budget bounds workspace,
     // not the result) and before the arena scope (the output escapes to the
     // caller, so it must not be arena-backed). The arena scope is
@@ -240,7 +244,7 @@ SketchStats sketch_frame(const SketchConfig& cfg, Out& out,
     }
     return stats;
   } catch (const run_stopped_error& e) {
-    count_stop(e.cause());
+    rrc.count_stop(e.cause());
     throw;
   }
 }

@@ -79,23 +79,19 @@ std::pair<std::size_t, double> time_candidates(
   // carrying a sliced sub-deadline: tuning may spend at most a quarter of
   // the wall-clock remaining on the outer deadline (floor 1 ms), so a tight
   // deadline degrades to fewer timed candidates instead of eating the whole
-  // run before the real sketch starts. Deadline/budget fields are zeroed on
-  // pcfg so the pilot call does not re-arm them afresh from "now".
-  ResolvedRunControl outer(cfg.control, cfg.deadline_ms,
-                           cfg.workspace_budget_bytes);
+  // run before the real sketch starts. The child is the pilot's only bound,
+  // so the pilot call does not re-arm the caller's afresh from "now".
+  ResolvedRunControl outer(cfg.bounds);
   RunControl* const parent = outer.get();
   RunControl child;
-  pcfg.deadline_ms = 0.0;
-  pcfg.workspace_budget_bytes = 0;
-  pcfg.control = nullptr;
   if (parent != nullptr) {
     child.set_parent(parent);
     const double remaining = parent->deadline_remaining_ms();
     if (remaining != std::numeric_limits<double>::infinity()) {
       child.set_deadline_ms(std::max(1.0, remaining * 0.25));
     }
-    pcfg.control = &child;
   }
+  pcfg.bounds = {.control = parent != nullptr ? &child : nullptr};
   DenseMatrix<T> scratch(pilot_d, pilot.cols());
   std::size_t best = 0;
   double best_secs = 1e300;
@@ -116,10 +112,11 @@ std::pair<std::size_t, double> time_candidates(
         Timer t;
         sketch_into(pcfg, pilot, scratch);
         secs = std::min(secs, t.seconds());
-      } catch (const run_stopped_error&) {
+      } catch (const run_stopped_error& e) {
         // The caller's own bound fired: propagate, the whole run is over.
         // Only the pilot slice expired: stop timing, keep the best so far.
         if (parent != nullptr && parent->stop_cause() != StopCause::None) {
+          outer.count_stop(e.cause());
           throw;
         }
         sub_deadline_hit = true;

@@ -98,10 +98,7 @@ GuardedSapResult<T> guarded_sap_solve(const CscMatrix<T>& a,
     }
   }
 
-  ResolvedRunControl rrc(options.control, options.deadline_ms,
-                         options.workspace_budget_bytes);
-  RunControl* const run = rrc.get();
-  SapPipeline<T> pipe(base, run);
+  SapPipeline<T> pipe(base);
   const index_t d0 = pipe.sketch_rows(n);
   const index_t d_cap = std::max(d0, 4 * n);  // paper's d ≤ 4n escalation bound
 
@@ -143,11 +140,6 @@ GuardedSapResult<T> guarded_sap_solve(const CscMatrix<T>& a,
       log = SapAttemptLog{};
       log.attempt = attempt + 1;
       attempt_timer.reset();
-      // A fired bound stops the solve exactly once, BEFORE the attempt starts —
-      // a dead clock or exhausted budget must not burn the remaining attempts
-      // one timeout at a time. The poll's throw lands in the catch below,
-      // which logs the stop as its own outcome and re-raises with the log.
-      if (run != nullptr) run->poll();
       // Timeline marker per attempt (value = 1-based attempt number) so retries
       // and d-escalations are visible between the sketch/factor/lsqr slices.
       if (perf::trace::armed()) {
@@ -167,6 +159,10 @@ GuardedSapResult<T> guarded_sap_solve(const CscMatrix<T>& a,
                      static_cast<double>(d0) *
                      std::pow(options.d_growth, static_cast<double>(attempt)))));
 
+      // A fired bound stops the solve exactly once: the attempt's sketch polls
+      // before any work, so a dead clock never burns the remaining attempts
+      // one timeout at a time. The catch below logs the stop as its own
+      // outcome and re-raises with the log.
       SapResult<T> result = pipe.attempt(a, b, checks, log);
       log.seconds = attempt_timer.seconds();
       out.log.push_back(log);
@@ -187,7 +183,7 @@ GuardedSapResult<T> guarded_sap_solve(const CscMatrix<T>& a,
     log.outcome = outcome_of(e.cause());
     log.seconds = attempt_timer.seconds();
     out.log.push_back(log);
-    count_stop(e.cause());
+    pipe.count_stop(e.cause());
     throw run_stopped_error(e.cause(), with_attempt_log(e.what(), out.log));
   }
 

@@ -19,8 +19,6 @@
 
 namespace rsketch {
 
-class RunControl;
-
 /// How one guarded attempt ended.
 enum class SapAttemptOutcome {
   Success,           ///< accepted: converged (or within accept_tol) and finite
@@ -36,6 +34,11 @@ enum class SapAttemptOutcome {
 std::string to_string(SapAttemptOutcome outcome);
 
 struct GuardedSapOptions {
+  /// The solve's settings. base.bounds spans ALL attempts: a fired bound is
+  /// checked before each attempt and polled inside the sketch and LSQR
+  /// phases, and surfaces as run_stopped_error with the attempt log in the
+  /// message — distinct from numeric_error, and never burning the remaining
+  /// attempts.
   SapOptions base;
   int max_attempts = 3;
   /// Reject the preconditioner when its condition estimate exceeds this —
@@ -55,21 +58,6 @@ struct GuardedSapOptions {
   /// TEST HOOK for the fault-injection suite: deliberately write a NaN into
   /// the sketch of the first k attempts, forcing the recovery path.
   int poison_first_attempts = 0;
-
-  // --- Run control (support/run_control.hpp; docs/ROBUSTNESS.md) ---------
-  /// Wall-clock deadline over ALL attempts in milliseconds (0 = none;
-  /// RSKETCH_DEADLINE_MS back-stops a zero). A fired deadline is checked
-  /// before each attempt and polled inside the sketch and LSQR phases, and
-  /// surfaces as run_stopped_error with the attempt log in the message —
-  /// distinct from numeric_error, and never burning the remaining attempts.
-  double deadline_ms = 0.0;
-  /// Workspace byte budget across the solve's tracked allocations (0 = none;
-  /// RSKETCH_BUDGET_MB back-stops). Enforced charge-before-allocate through
-  /// the solve's MemoryTracker and the sketch workspace hooks.
-  std::size_t workspace_budget_bytes = 0;
-  /// Optional external cancellation/deadline/budget handle. Not owned; must
-  /// outlive the call.
-  RunControl* control = nullptr;
 };
 
 /// One row of the retry log.

@@ -144,9 +144,9 @@ void sap_recover_solution(const SapPreconditioner<T>& p, const T* y, T* x) {
 }  // namespace
 
 template <typename T>
-SapPipeline<T>::SapPipeline(const SapOptions& options, RunControl* control)
-    : options_(options), control_(control) {
-  mem_.attach(control);
+SapPipeline<T>::SapPipeline(const SapOptions& options)
+    : options_(options), bounds_(options.bounds) {
+  mem_.attach(bounds_.get());
 }
 
 template <typename T>
@@ -164,10 +164,10 @@ DenseMatrix<T> SapPipeline<T>::sketch(const CscMatrix<T>& a, index_t d,
   cfg.dist = options_.dist;
   cfg.kernel = options_.kernel;
   cfg.normalize = true;
-  // The sketch polls the same control between outer blocks and routes its
-  // workspace through the same budget (deadline/budget fields stay zero —
-  // they are already armed on the control, re-arming would reset the clock).
-  cfg.control = control_;
+  // The sketch polls the solve's control between outer blocks and routes its
+  // workspace through the same budget; it arms nothing of its own, so the
+  // solve's deadline runs from the start of the solve.
+  cfg.bounds = {.control = bounds_.get()};
   Timer phase;
   DenseMatrix<T> a_hat;  // sized d×n by sketch_into
   {
@@ -212,7 +212,7 @@ LsqrResult<T> SapPipeline<T>::lsqr(
     LsqrOptions lo;
     lo.tol = options_.lsqr_tol;
     lo.max_iter = options_.lsqr_max_iter;
-    lo.control = control_;
+    lo.control = bounds_.get();
     res = rsketch::lsqr(op, rhs, lo);
     res.x = recover(std::move(res.x));
   }
@@ -284,14 +284,17 @@ SapResult<T> sap_solve(const CscMatrix<T>& a, const std::vector<T>& b,
   require(options.gamma > 1.0, "sap_solve: gamma must exceed 1");
 
   perf::Span root("sap_solve");
-  // RSKETCH_DEADLINE_MS / RSKETCH_BUDGET_MB bound the whole solve, as they do
-  // the guarded one; with neither set the control stays null.
-  ResolvedRunControl rrc(nullptr, 0.0, 0);
-  SapPipeline<T> pipe(options, rrc.get());
+  SapPipeline<T> pipe(options);
   SapAttemptLog log;
   log.d = pipe.sketch_rows(n);
   log.seed = options.seed;
-  SapResult<T> out = pipe.attempt(a, b, {}, log);
+  SapResult<T> out;
+  try {
+    out = pipe.attempt(a, b, {}, log);
+  } catch (const run_stopped_error& e) {
+    pipe.count_stop(e.cause());
+    throw;
+  }
   if (log.outcome != SapAttemptOutcome::Success) {
     // Fail here, as a numeric failure, rather than at the first zero pivot
     // inside LSQR's triangular solve.

@@ -35,6 +35,9 @@ struct SapOptions {
   /// thread team.
   Dist dist = Dist::Uniform;
   KernelVariant kernel = KernelVariant::Kji;
+  /// Run bounds of the whole solve: the sketch and every LSQR iteration
+  /// poll them, and the solve's workspace is charged to the budget.
+  RunBounds bounds;
 };
 
 template <typename T>

@@ -53,9 +53,11 @@ struct SapChecks {
 template <typename T>
 class SapPipeline {
  public:
-  /// `control` (may be null) is polled by the sketch and LSQR and charged
-  /// for the workspace. Neither argument is owned.
-  SapPipeline(const SapOptions& options, RunControl* control);
+  /// Resolves options.bounds once for the whole solve, however many
+  /// attempts it makes. `options` is not owned.
+  explicit SapPipeline(const SapOptions& options);
+  /// Count a stop out of the solve (ResolvedRunControl::count_stop).
+  void count_stop(StopCause cause) const { bounds_.count_stop(cause); }
 
   /// One sketch → factor → LSQR → recover attempt at min ‖Ax − b‖₂ for tall
   /// A, sketching with log.d rows and log.seed. Fills log.cond_estimate,
@@ -81,7 +83,7 @@ class SapPipeline {
 
  private:
   const SapOptions& options_;
-  RunControl* control_;
+  ResolvedRunControl bounds_;
   SapResult<T> phases_;  ///< only the phase seconds are kept here
   MemoryTracker mem_;
   Timer total_;

@@ -5,7 +5,7 @@
 #include <limits>
 
 #include "perf/perf.hpp"
-#include "support/env.hpp"
+#include "support/common.hpp"
 
 namespace rsketch {
 
@@ -148,31 +148,29 @@ std::size_t RunControl::remaining_bytes() const {
   return remaining;
 }
 
-double env_deadline_ms() {
-  static const double ms = env_double("RSKETCH_DEADLINE_MS", 0.0);
-  return ms > 0.0 ? ms : 0.0;
+void RunControl::arm(const RunBounds& bounds) {
+  require(bounds.deadline_ms >= 0.0,  // NaN fails too
+          "RunBounds: deadline_ms must be >= 0 (0 = no deadline)");
+  set_parent(bounds.control);
+  set_deadline_ms(bounds.deadline_ms);
+  set_budget_bytes(bounds.workspace_budget_bytes);
 }
 
-std::size_t env_budget_bytes() {
-  static const std::size_t bytes = [] {
-    const double mb = env_double("RSKETCH_BUDGET_MB", 0.0);
-    return mb > 0.0 ? static_cast<std::size_t>(mb * 1e6) : std::size_t{0};
-  }();
-  return bytes;
+/// Set while a ResolvedRunControl is alive on this thread.
+static thread_local bool in_bounded_call = false;
+
+ResolvedRunControl::ResolvedRunControl(const RunBounds& bounds)
+    : outermost_(!in_bounded_call) {
+  // Any nonzero deadline goes through arm(), which rejects a bad one.
+  const bool own =
+      bounds.deadline_ms != 0.0 || bounds.workspace_budget_bytes > 0;
+  if (own) local_.arm(bounds);
+  run_ = own ? &local_ : bounds.control;
+  in_bounded_call = true;
 }
 
-ResolvedRunControl::ResolvedRunControl(RunControl* external, double deadline_ms,
-                                       std::size_t budget_bytes) {
-  if (deadline_ms <= 0.0) deadline_ms = env_deadline_ms();
-  if (budget_bytes == 0) budget_bytes = env_budget_bytes();
-  if (deadline_ms > 0.0 || budget_bytes > 0) {
-    local_.set_parent(external);
-    if (deadline_ms > 0.0) local_.set_deadline_ms(deadline_ms);
-    if (budget_bytes > 0) local_.set_budget_bytes(budget_bytes);
-    run_ = &local_;
-  } else {
-    run_ = external;
-  }
+ResolvedRunControl::~ResolvedRunControl() {
+  if (outermost_) in_bounded_call = false;
 }
 
 void CooperativeStop::throw_if_stopped(const char* what) const {
@@ -183,7 +181,8 @@ void CooperativeStop::throw_if_stopped(const char* what) const {
                                  to_string(c));
 }
 
-void count_stop(StopCause cause) {
+void ResolvedRunControl::count_stop(StopCause cause) const {
+  if (!outermost_) return;
   switch (cause) {
     case StopCause::Cancelled:
       perf::add(perf::Counter::RunCancelled, 1);

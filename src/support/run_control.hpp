@@ -1,8 +1,9 @@
 // Cooperative run control: cancellation, wall-clock deadlines, and workspace
 // byte budgets for the sketching and solver pipelines.
 //
-// A RunControl is a passive handle the caller owns; the pipelines poll it at
-// block granularity (one relaxed atomic load per outer block, nothing at all
+// A caller bounds one public call with a RunBounds; the entry point resolves
+// it into a RunControl, a passive handle the pipelines poll at block
+// granularity (one relaxed atomic load per outer block, nothing at all
 // when no handle is attached) and abandon the run with a run_stopped_error
 // carrying the cause. Outputs follow clean-throw semantics: a stopped run
 // leaves the caller's output untouched (the sketch paths stage into a private
@@ -56,6 +57,19 @@ inline std::atomic<long long> fake_clock_ns{-1};
 
 }  // namespace detail
 
+class RunControl;
+
+/// The bounds of one public call, set by the caller and read from nowhere
+/// else; SketchConfig, SapOptions and BatchOptions each carry one. The
+/// default is unbounded.
+struct RunBounds {
+  /// Cancellation handle (it may carry its own deadline and budget). Not
+  /// owned; must outlive the call.
+  RunControl* control = nullptr;
+  double deadline_ms = 0.0;                ///< from the call's start; 0 = none
+  std::size_t workspace_budget_bytes = 0;  ///< beyond input/output; 0 = none
+};
+
 /// Cooperative cancellation token + deadline + workspace budget.
 ///
 /// Thread-safe: any thread may request_cancel() / charge() / poll()
@@ -75,6 +89,11 @@ class RunControl {
   /// Arm a workspace byte budget (0 disarms). Charges already outstanding
   /// are kept.
   void set_budget_bytes(std::size_t bytes);
+
+  /// Chain to bounds.control and arm bounds' deadline (from now) and budget:
+  /// the one arm step of every entry point. Throws invalid_argument_error on
+  /// a negative or NaN deadline_ms.
+  void arm(const RunBounds& bounds);
 
   /// Request cooperative cancellation; pollers stop within one outer block.
   void request_cancel() { cancel_.store(true, std::memory_order_relaxed); }
@@ -131,7 +150,6 @@ class RunControl {
   /// this control. Not thread-safe against concurrent polls — set up the
   /// chain before handing the control to workers.
   void set_parent(RunControl* parent) { parent_ = parent; }
-  const RunControl* parent() const { return parent_; }
 
   /// Monotonic "now" in nanoseconds — the fake clock when armed
   /// (detail::fake_clock_ns), the steady clock otherwise.
@@ -146,28 +164,28 @@ class RunControl {
   RunControl* parent_ = nullptr;
 };
 
-/// RSKETCH_DEADLINE_MS / RSKETCH_BUDGET_MB, read once per process (0 = unset).
-/// They back-stop configs that set no explicit bound; an explicit
-/// SketchConfig value always wins.
-double env_deadline_ms();
-std::size_t env_budget_bytes();
-
-/// Stack-resolved effective control for one entry point: combines an
-/// optional external handle with config/env deadline+budget knobs. When any
-/// bound is set, owns a local RunControl chained to the external one;
-/// otherwise passes the external handle (possibly nullptr) through, keeping
-/// the unarmed path allocation- and atomics-free.
+/// The control one public call polls, resolved once at its entry from its
+/// RunBounds. With a deadline or budget set, owns a local
+/// RunControl armed from them and chained to bounds.control; otherwise
+/// passes bounds.control (possibly nullptr) through, keeping the unbounded
+/// path allocation- and atomics-free. Only the outermost one on a thread
+/// counts stops, so a stop inside a nested call counts once per public call.
 class ResolvedRunControl {
  public:
-  ResolvedRunControl(RunControl* external, double deadline_ms,
-                     std::size_t budget_bytes);
+  explicit ResolvedRunControl(const RunBounds& bounds);
+  ~ResolvedRunControl();
 
   /// Effective control to poll/charge, or nullptr when nothing is armed.
-  RunControl* get() { return run_; }
+  RunControl* get() const { return run_; }
+
+  /// Count a stop into run_cancelled / run_deadline_hits / run_budget_hits
+  /// when this is the outermost bounded call on the thread.
+  void count_stop(StopCause cause) const;
 
  private:
   RunControl local_;
   RunControl* run_ = nullptr;
+  bool outermost_ = false;
 };
 
 /// Shared stop latch for one parallel region: every thread calls
@@ -204,11 +222,6 @@ class CooperativeStop {
   std::atomic<bool> stopped_{false};
   std::atomic<int> cause_{0};
 };
-
-/// Count one stop into the perf catalog: run_cancelled, run_deadline_hits
-/// or run_budget_hits by cause (None counts nothing). The sketch frame calls
-/// this once per stopped call, the guarded solver once per stopped solve.
-void count_stop(StopCause cause);
 
 namespace detail {
 

@@ -244,7 +244,7 @@ TEST(BatchControl, ExpiredDeadlineFansOutToEveryQueuedJob) {
   const auto a = random_sparse<double>(1200, 96, 0.01, 22);
   BatchOptions options;
   options.workers = 2;
-  options.deadline_ms = 10.0;
+  options.bounds.deadline_ms = 10.0;
   SketchBatch batch(options);
   clock.advance_ms(20.0);  // the batch deadline passed before any submit
   constexpr int kJobs = 6;
@@ -393,7 +393,7 @@ TEST(BatchBudget, ExhaustionDegradesPerLadderBitwiseClean) {
       sketch_workspace_estimate<double>(floor_cfg, a.rows(), a.cols(), a.nnz());
   BatchOptions options;
   options.workers = 1;
-  options.workspace_budget_bytes = floor_bytes;
+  options.bounds.workspace_budget_bytes = floor_bytes;
   options.large_job_flops = 1.0;  // force the large-job path: keep cfg as-is
   SketchBatch batch(options);
   DenseMatrix<double> degraded(cfg.d, a.cols());
@@ -407,7 +407,7 @@ TEST(BatchBudget, OnPressureFailSurfacesBudgetExceeded) {
   const auto a = random_sparse<double>(300, 120, 0.05, 27);
   BatchOptions options;
   options.workers = 1;
-  options.workspace_budget_bytes = 1;  // nothing fits
+  options.bounds.workspace_budget_bytes = 1;  // nothing fits
   SketchBatch batch(options);
   SketchConfig cfg;
   cfg.d = 40;

@@ -3,7 +3,8 @@
 // deadlines fire deterministically on the fake clock, workspace budgets
 // drive the degradation ladder to a bitwise-identical Â (or a clean
 // BudgetExceeded under --on-pressure=fail), and charges never leak — not
-// even across exceptions. Runs under TSan via the `parallel` ctest label.
+// even across exceptions. The stop contract is checked on every bounded
+// entry point. Runs under TSan via the `parallel` ctest label.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,11 +17,15 @@
 #include <vector>
 
 #include "perf/perf.hpp"
+#include "sketch/batch.hpp"
 #include "sketch/sketch.hpp"
 #include "sketch/sketch_right.hpp"
 #include "solvers/guarded.hpp"
 #include "solvers/least_squares.hpp"
+#include "solvers/minimum_norm.hpp"
+#include "solvers/sap.hpp"
 #include "sparse/blocked_csr.hpp"
+#include "sparse/convert.hpp"
 #include "sparse/generate.hpp"
 #include "support/memory_tracker.hpp"
 #include "support/parallel.hpp"
@@ -181,7 +186,7 @@ TEST(RunControlSketch, PreCancelledRunLeavesOutputUntouched) {
   cfg.d = 40;
   RunControl rc;
   rc.request_cancel();
-  cfg.control = &rc;
+  cfg.bounds.control = &rc;
   auto a_hat = sentinel_matrix(cfg.d, a.cols());
   try {
     sketch_into(cfg, a, a_hat);
@@ -200,7 +205,7 @@ TEST(RunControlSketch, ExpiredDeadlineLeavesOutputUntouched) {
   clock.advance_ms(20.0);  // the deadline passed before the sketch started
   SketchConfig cfg;
   cfg.d = 40;
-  cfg.control = &rc;
+  cfg.bounds.control = &rc;
   auto a_hat = sentinel_matrix(cfg.d, a.cols());
   try {
     sketch_into(cfg, a, a_hat);
@@ -221,8 +226,8 @@ TEST(RunControlSketch, ArmedButUnhitBoundsAreBitwiseInvisible) {
   sketch_into(cfg, a, plain);
 
   SketchConfig armed = cfg;
-  armed.deadline_ms = 1e9;
-  armed.workspace_budget_bytes = std::size_t{1} << 40;
+  armed.bounds.deadline_ms = 1e9;
+  armed.bounds.workspace_budget_bytes = std::size_t{1} << 40;
   DenseMatrix<double> bounded;
   const auto stats = sketch_into(armed, a, bounded);
   EXPECT_EQ(stats.degradations, 0u);
@@ -240,7 +245,7 @@ TEST(RunControlSketch, SecondThreadCancellationStopsTheSketch) {
   cfg.block_d = 8;  // many outer blocks -> many poll points
   cfg.block_n = 8;
   RunControl rc;
-  cfg.control = &rc;
+  cfg.bounds.control = &rc;
   std::atomic<bool> started{false};
   std::thread watcher([&] {
     while (!started.load(std::memory_order_relaxed)) std::this_thread::yield();
@@ -262,7 +267,7 @@ TEST(RunControlSketch, SecondThreadCancellationStopsTheSketch) {
     // Sketch won the race: the output must then be the real sketch.
     DenseMatrix<double> expected;
     SketchConfig plain = cfg;
-    plain.control = nullptr;
+    plain.bounds.control = nullptr;
     sketch_into(plain, a, expected);
     expect_bitwise_equal(expected, a_hat);
   }
@@ -292,7 +297,7 @@ TEST(RunControlBudget, LadderDegradesToBitwiseIdenticalSketch) {
                                                            a.cols(), a.nnz()));
 
   SketchConfig tight = cfg;
-  tight.workspace_budget_bytes = floor_bytes;
+  tight.bounds.workspace_budget_bytes = floor_bytes;
   DenseMatrix<double> degraded;
   const auto stats = sketch_into(tight, a, degraded);
   EXPECT_GE(stats.degradations, 1u);
@@ -329,7 +334,7 @@ TEST(RunControlBudget, OneThreadTeamSkipsTheSequentialRung) {
   perf::set_enabled(true);
   perf::reset();
   SketchConfig tight = cfg;
-  tight.workspace_budget_bytes = estimate(floor_cfg);
+  tight.bounds.workspace_budget_bytes = estimate(floor_cfg);
   DenseMatrix<double> degraded;
   const auto stats = sketch_into(tight, a, degraded);
   const auto snap = perf::snapshot();
@@ -360,7 +365,7 @@ TEST(RunControlBudget, PhiloxLadderMayHalveBlockD) {
   const std::size_t quarter_bytes = sketch_workspace_estimate<double>(
       quarter, a.rows(), a.cols(), a.nnz());
   SketchConfig tight = cfg;
-  tight.workspace_budget_bytes = quarter_bytes;
+  tight.bounds.workspace_budget_bytes = quarter_bytes;
   DenseMatrix<double> degraded;
   const auto stats = sketch_into(tight, a, degraded);
   EXPECT_GE(stats.degradations, 2u);  // two halvings: 40 -> 20 -> 10
@@ -371,7 +376,7 @@ TEST(RunControlBudget, OnPressureFailThrowsInsteadOfDegrading) {
   const auto a = test_matrix();
   SketchConfig cfg;
   cfg.d = 40;
-  cfg.workspace_budget_bytes = 1;  // nothing fits
+  cfg.bounds.workspace_budget_bytes = 1;  // nothing fits
   cfg.on_pressure = OnPressure::Fail;
   auto a_hat = sentinel_matrix(cfg.d, a.cols());
   try {
@@ -396,7 +401,7 @@ TEST(RunControlBudget, BudgetChargesOnlyTheRowsTheDriverRuns) {
 
   SketchConfig huge = cfg;
   huge.block_d = 1'000'000;
-  huge.workspace_budget_bytes = 1'000'000;
+  huge.bounds.workspace_budget_bytes = 1'000'000;
   huge.on_pressure = OnPressure::Fail;
   DenseMatrix<double> clamped;
   const auto stats = sketch_into(huge, a, clamped);
@@ -424,7 +429,7 @@ TEST(RunControlBudget, DegradeLadderHalvesFromTheClampedBlockD) {
 
   SketchConfig quarter = cfg;
   quarter.block_d = 10;
-  cfg.workspace_budget_bytes = sketch_workspace_estimate<double>(
+  cfg.bounds.workspace_budget_bytes = sketch_workspace_estimate<double>(
       quarter, a.rows(), a.cols(), a.nnz());
   DenseMatrix<double> from_d;
   const auto want = sketch_into(cfg, a, from_d);
@@ -445,7 +450,7 @@ TEST(RunControlBudget, ExhaustedLadderThrowsBudgetExceeded) {
   const auto a = test_matrix();
   SketchConfig cfg;
   cfg.d = 40;
-  cfg.workspace_budget_bytes = 1;
+  cfg.bounds.workspace_budget_bytes = 1;
   auto a_hat = sentinel_matrix(cfg.d, a.cols());
   try {
     sketch_into(cfg, a, a_hat);
@@ -469,7 +474,7 @@ TEST(RunControlBudget, DegradationsAreCountedInPerf) {
   SketchConfig floor_cfg = cfg;
   floor_cfg.kernel = KernelVariant::Kji;
   floor_cfg.parallel = ParallelOver::Sequential;
-  cfg.workspace_budget_bytes =
+  cfg.bounds.workspace_budget_bytes =
       sketch_workspace_estimate<double>(floor_cfg, a.rows(), a.cols(), a.nnz());
   DenseMatrix<double> a_hat;
   const auto stats = sketch_into(cfg, a, a_hat);
@@ -484,17 +489,34 @@ TEST(RunControlBudget, DegradationsAreCountedInPerf) {
 
 // ------------------------------------------ every entry point, every cause --
 //
-// The contract holds for all three sketch entry points, not just sketch_into:
-// a stopped call throws the cause, leaves its output exactly as the caller
-// passed it, and bumps the matching run_* counter exactly once.
+// The contract holds for every bounded public entry point: the three sketch
+// entry points, the three SAP solvers and the two batch submissions. A
+// stopped call throws the cause, leaves its output exactly as the caller
+// passed it, and bumps the matching run_* counter exactly once — also when
+// the stop fires inside a nested call (the solvers' sketch, a batch job's
+// sketch or solve).
 
-enum class Entry { Sketch, Prepartitioned, Right };
+enum class Entry {
+  Sketch,
+  Prepartitioned,
+  Right,
+  Sap,
+  Guarded,
+  MinimumNorm,
+  Batch,
+  BatchGuarded,
+};
 
 std::string to_string(Entry e) {
   switch (e) {
     case Entry::Sketch: return "sketch_into";
     case Entry::Prepartitioned: return "prepartitioned";
     case Entry::Right: return "right";
+    case Entry::Sap: return "sap_solve";
+    case Entry::Guarded: return "guarded_sap_solve";
+    case Entry::MinimumNorm: return "minimum_norm";
+    case Entry::Batch: return "batch_submit";
+    case Entry::BatchGuarded: return "batch_guarded_solve";
   }
   return "?";
 }
@@ -507,13 +529,13 @@ std::vector<double> flatten(const DenseMatrix<double>& m) {
   return out;
 }
 
-/// Run one entry point on the shared test input into a sentinel-filled
-/// output of the right shape and return that output flattened, whether or
-/// not the call stopped. A run_stopped_error is caught and its cause stored
-/// in `*cause` (None when the call completed).
-std::vector<double> run_entry(Entry e, const SketchConfig& cfg,
+/// Run one entry point under `bounds` on its test input, into a sentinel-
+/// filled output of the right shape, and return that output flattened,
+/// whether or not the call stopped. A run_stopped_error (thrown, or carried
+/// by a batch handle) is caught and its cause stored in `*cause` (None when
+/// the call completed).
+std::vector<double> run_entry(Entry e, const RunBounds& bounds,
                               StopCause* cause) {
-  const auto a = test_matrix();
   *cause = StopCause::None;
   const auto guarded = [&](auto&& call) {
     try {
@@ -522,23 +544,78 @@ std::vector<double> run_entry(Entry e, const SketchConfig& cfg,
       *cause = err.cause();
     }
   };
+  SketchConfig cfg;
+  cfg.d = 24;
+  cfg.block_d = 8;  // several row blocks, so the driver really schedules
+  cfg.on_pressure = OnPressure::Fail;
+  const auto a = test_matrix();
+  // The solvers' inputs: tall for the least-squares solvers, wide for the
+  // minimum-norm one.
+  const auto tall = random_sparse<double>(120, 40, 0.3, 2024);
+  const auto b = make_least_squares_rhs(tall, 7);
+  std::vector<double> x(static_cast<std::size_t>(tall.cols()), -123.25);
+  BatchOptions batch_options;
+  batch_options.workers = 2;
+  batch_options.bounds = bounds;
   switch (e) {
     case Entry::Sketch: {
+      cfg.bounds = bounds;
       auto out = sentinel_matrix(cfg.d, a.cols());
       guarded([&] { sketch_into(cfg, a, out); });
       return flatten(out);
     }
     case Entry::Prepartitioned: {
+      cfg.bounds = bounds;
       const auto ab = BlockedCsr<double>::from_csc(a, 16);
       auto out = sentinel_matrix(cfg.d, a.cols());
       guarded([&] { sketch_into_prepartitioned(cfg, ab, out); });
       return flatten(out);
     }
     case Entry::Right: {
+      cfg.bounds = bounds;
       std::vector<double> out(static_cast<std::size_t>(a.rows() * cfg.d),
                               -123.25);
       guarded([&] { sketch_right_into(cfg, a, out); });
       return out;
+    }
+    case Entry::Sap: {
+      SapOptions opt;
+      opt.bounds = bounds;
+      guarded([&] { x = sap_solve(tall, b, opt).x; });
+      return x;
+    }
+    case Entry::Guarded: {
+      GuardedSapOptions opt;
+      opt.base.bounds = bounds;
+      guarded([&] { x = guarded_sap_solve(tall, b, opt).result.x; });
+      return x;
+    }
+    case Entry::MinimumNorm: {
+      const auto wide = transpose(tall);
+      const std::vector<double> rhs(b.begin(), b.begin() + wide.rows());
+      std::vector<double> xw(static_cast<std::size_t>(wide.cols()), -123.25);
+      SapOptions opt;
+      opt.bounds = bounds;
+      guarded([&] { xw = sap_solve_minimum_norm(wide, rhs, opt).x; });
+      return xw;
+    }
+    case Entry::Batch: {
+      auto out = sentinel_matrix(cfg.d, a.cols());
+      SketchBatch batch(batch_options);
+      const JobHandle h = batch.submit(cfg, a, out);
+      batch.wait_all();
+      guarded([&] { h.stats(); });
+      return flatten(out);
+    }
+    case Entry::BatchGuarded: {
+      GuardedSapResult<double> out;
+      out.result.x = x;
+      SketchBatch batch(batch_options);
+      const JobHandle h =
+          batch.submit_guarded_solve(GuardedSapOptions{}, tall, b, out);
+      batch.wait_all();
+      guarded([&] { h.stats(); });
+      return out.result.x;
     }
   }
   return {};
@@ -552,39 +629,39 @@ perf::Counter counter_of(StopCause c) {
   }
 }
 
-constexpr Entry kEntries[] = {Entry::Sketch, Entry::Prepartitioned,
-                              Entry::Right};
+constexpr Entry kEntries[] = {
+    Entry::Sketch,      Entry::Prepartitioned, Entry::Right,
+    Entry::Sap,         Entry::Guarded,        Entry::MinimumNorm,
+    Entry::Batch,       Entry::BatchGuarded,
+};
 
 class RunControlContract
     : public ::testing::TestWithParam<std::tuple<Entry, StopCause>> {};
 
 TEST_P(RunControlContract, StopLeavesOutputUntouchedAndCountsOnce) {
   const auto [entry, want] = GetParam();
-  SketchConfig cfg;
-  cfg.d = 24;
-  cfg.block_d = 8;  // several row blocks, so the driver really schedules
   faults::ScheduledFault clock;
   RunControl rc;
+  RunBounds bounds;
   switch (want) {
     case StopCause::Cancelled:
       rc.request_cancel();
-      cfg.control = &rc;
+      bounds.control = &rc;
       break;
     case StopCause::DeadlineExceeded:
       rc.set_deadline_ms(10.0);
       clock.advance_ms(20.0);  // expired before the call starts
-      cfg.control = &rc;
+      bounds.control = &rc;
       break;
     default:
-      cfg.workspace_budget_bytes = 1;  // nothing fits
-      cfg.on_pressure = OnPressure::Fail;
+      bounds.workspace_budget_bytes = 1;  // nothing fits
       break;
   }
 
   perf::set_enabled(true);
   perf::reset();
   StopCause got = StopCause::None;
-  const auto out = run_entry(entry, cfg, &got);
+  const auto out = run_entry(entry, bounds, &got);
   const auto snap = perf::snapshot();
   perf::set_enabled(false);
 
@@ -615,27 +692,49 @@ INSTANTIATE_TEST_SUITE_P(
 class RunControlArmedUnhit : public ::testing::TestWithParam<Entry> {};
 
 TEST_P(RunControlArmedUnhit, OutputIsBitwiseTheUnarmedOne) {
-  SketchConfig cfg;
-  cfg.d = 24;
-  cfg.block_d = 8;
   StopCause cause = StopCause::None;
-  const auto plain = run_entry(GetParam(), cfg, &cause);
+  const auto plain = run_entry(GetParam(), RunBounds{}, &cause);
   ASSERT_EQ(cause, StopCause::None);
-  SketchConfig armed = cfg;
+  RunBounds armed;
   armed.deadline_ms = 1e9;
   armed.workspace_budget_bytes = std::size_t{1} << 40;
   const auto bounded = run_entry(GetParam(), armed, &cause);
   ASSERT_EQ(cause, StopCause::None);
   ASSERT_EQ(plain.size(), bounded.size());
   for (std::size_t i = 0; i < plain.size(); ++i) {
+    ASSERT_NE(plain[i], -123.25) << "output not written at " << i;
     ASSERT_EQ(plain[i], bounded[i]) << "at " << i;
   }
 }
 
 // sketch_into has its own case above.
-INSTANTIATE_TEST_SUITE_P(OtherEntryPoints, RunControlArmedUnhit,
-                         ::testing::Values(Entry::Prepartitioned, Entry::Right),
-                         [](const auto& info) { return to_string(info.param); });
+INSTANTIATE_TEST_SUITE_P(
+    OtherEntryPoints, RunControlArmedUnhit,
+    ::testing::Values(Entry::Prepartitioned, Entry::Right, Entry::Sap,
+                      Entry::Guarded, Entry::MinimumNorm, Entry::Batch,
+                      Entry::BatchGuarded),
+    [](const auto& info) { return to_string(info.param); });
+
+/// A negative or NaN deadline is a caller error at every entry point, one
+/// row per options struct that carries RunBounds: SketchConfig, SapOptions
+/// (the guarded solve reads its base's) and BatchOptions.
+class RunBoundsValidation : public ::testing::TestWithParam<Entry> {};
+
+TEST_P(RunBoundsValidation, NegativeOrNanDeadlineIsRejected) {
+  for (double deadline : {-1.0, std::nan("")}) {
+    RunBounds bounds;
+    bounds.deadline_ms = deadline;
+    StopCause cause = StopCause::None;
+    EXPECT_THROW(run_entry(GetParam(), bounds, &cause),
+                 invalid_argument_error)
+        << "deadline_ms = " << deadline;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryOptionsStruct, RunBoundsValidation,
+    ::testing::Values(Entry::Sketch, Entry::Sap, Entry::Guarded, Entry::Batch),
+    [](const auto& info) { return to_string(info.param); });
 
 // --------------------------------------------------------- guarded solve --
 
@@ -648,7 +747,7 @@ TEST(RunControlGuarded, StopIsLoggedOnceAndNeverBurnsAttempts) {
   clock.advance_ms(20.0);  // dead before the solve starts
   GuardedSapOptions opt;
   opt.max_attempts = 5;
-  opt.control = &rc;
+  opt.base.bounds.control = &rc;
   try {
     guarded_sap_solve(a, b, opt);
     FAIL() << "an expired deadline must stop the solve";
@@ -669,7 +768,7 @@ TEST(RunControlGuarded, CancelledControlStopsTheSolve) {
   RunControl rc;
   rc.request_cancel();
   GuardedSapOptions opt;
-  opt.control = &rc;
+  opt.base.bounds.control = &rc;
   try {
     guarded_sap_solve(a, b, opt);
     FAIL() << "a cancelled control must stop the solve";
@@ -686,7 +785,7 @@ TEST(RunControlGuarded, StopInLsqrLogsTheStoppedAttempt) {
   rc.set_deadline_ms(10.0);
   ClockAdvancingArena arena(clock, 20.0);
   GuardedSapOptions opt;
-  opt.control = &rc;
+  opt.base.bounds.control = &rc;
   std::string what;
   StopCause cause = StopCause::None;
   {
@@ -710,6 +809,54 @@ TEST(RunControlGuarded, StopInLsqrLogsTheStoppedAttempt) {
   const double cond = std::stod(what.substr(at + want.str().size()));
   EXPECT_GT(cond, 0.0) << what;
   EXPECT_EQ(what.find("attempt 2"), std::string::npos) << what;
+}
+
+// ------------------------------------------------------------ SAP solve --
+
+TEST(RunControlSap, DeadlineBindsAfterTheSketch) {
+  // SapOptions::bounds cover the whole solve, not just its sketch: a
+  // deadline armed at the start of the solve that passes between the sketch
+  // and LSQR stops the solve in LSQR, for the least-squares and the
+  // minimum-norm solver alike.
+  constexpr double kDeadlineMs = 1e6;  // never reached on the real clock
+  const auto tall = random_sparse<double>(120, 40, 0.3, 2024);
+  const auto b = make_least_squares_rhs(tall, 7);
+  const auto wide = transpose(tall);
+  const std::vector<double> rhs(b.begin(), b.begin() + wide.rows());
+  SapOptions opt;
+  opt.bounds.deadline_ms = kDeadlineMs;
+  for (const bool minimum_norm : {false, true}) {
+    SCOPED_TRACE(minimum_norm ? "sap_solve_minimum_norm" : "sap_solve");
+    faults::ScheduledFault clock;
+    ClockAdvancingArena arena(clock, 2 * kDeadlineMs);
+    perf::set_enabled(true);
+    perf::reset();
+    StopCause cause = StopCause::None;
+    {
+      ScopedArenaScope scope(&arena);
+      try {
+        if (minimum_norm) {
+          sap_solve_minimum_norm(wide, rhs, opt);
+        } else {
+          sap_solve(tall, b, opt);
+        }
+      } catch (const run_stopped_error& e) {
+        cause = e.cause();
+      }
+    }
+    const auto snap = perf::snapshot();
+    perf::set_enabled(false);
+    EXPECT_EQ(cause, StopCause::DeadlineExceeded);
+    EXPECT_EQ(snap.get(perf::Counter::RunDeadlineHits), 1u);
+    // The deadline passed after the sketch: the sketch and the
+    // factorization both ran, and the stop came from LSQR's poll.
+    EXPECT_GE(arena.acquired(), 2);
+    for (const char* phase : {"sap/sketch", "sap/factor", "sap/lsqr"}) {
+      const auto it = snap.spans.find(phase);
+      ASSERT_NE(it, snap.spans.end()) << phase;
+      EXPECT_EQ(it->second.count, 1u) << phase;
+    }
+  }
 }
 
 // -------------------------------------------------------- memory tracker --
@@ -773,7 +920,7 @@ TEST(RunControlTracker, ConcurrentAddReleaseBalances) {
   EXPECT_GE(mt.peak_bytes(), 64u);
 }
 
-// ------------------------------------------------------------- env knobs --
+// ------------------------------------------------------------ fake clock --
 
 TEST(RunControlEnv, ScheduledFaultRestoresTheRealClock) {
   {

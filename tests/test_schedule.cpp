@@ -282,7 +282,7 @@ TEST(ScheduleStop, CancelledRunLeavesOutputUntouched) {
   cfg.parallel = ParallelOver::DBlocks;
   RunControl rc;
   rc.request_cancel();
-  cfg.control = &rc;
+  cfg.bounds.control = &rc;
 
   DenseMatrix<double> out(cfg.d, a.cols());
   const double sentinel = -12345.5;
