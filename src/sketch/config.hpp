@@ -132,8 +132,8 @@ struct SketchStats {
   double schedule_imbalance_est = 0.0;
   /// Column-block width the kernel ran: for kji, cfg.block_n clamped to n
   /// and narrowed to give every thread a block when the grid is smaller than
-  /// the team (so cfg.block_n is an upper bound); for jki, the blocked CSR's
-  /// width; 0 for the right sketch.
+  /// the team (so cfg.block_n is an upper bound); for jki, the slab width:
+  /// the blocked CSR's, or m for the right sketch (Aᵀ is one slab).
   index_t block_n = 0;
 
   /// Degradation-ladder steps taken by this call under budget pressure

@@ -6,6 +6,7 @@
 #include "sketch/kernel_kji.hpp"
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -204,64 +205,24 @@ struct KjiBlocks {
   }
 };
 
-/// Algorithm 4 over the vertical blocks of a blocked CSR: one column of S
-/// per nonempty row, reused across the row. The counts come from metadata
-/// the conversion precomputed.
+/// Algorithm 4 over vertical CSR slabs: one column of S per nonempty row,
+/// reused across the row. The counts come from metadata the slabs carry.
 template <typename T>
 struct JkiBlocks {
   using value_type = T;
-  const BlockedCsr<T>& ab;
+  std::span<const CsrSlab<T>> slabs;
   DenseMatrix<T>& out;
 
-  index_t jblocks() const { return ab.num_blocks(); }
+  index_t jblocks() const { return static_cast<index_t>(slabs.size()); }
   BlockWork work(index_t jb) const {
-    const auto& blk = ab.block(jb);
-    return {blk.csr.cols(), blk.nonempty_rows, blk.nnz,
-            (static_cast<std::uint64_t>(blk.csr.rows()) + 1) * sizeof(index_t)};
+    const CsrSlab<T>& s = slabs[static_cast<std::size_t>(jb)];
+    return {s.cols, s.nonempty_rows, s.nnz,
+            (static_cast<std::uint64_t>(s.rows) + 1) * sizeof(index_t)};
   }
   void block(ThreadCtx<T>& ctx, index_t i0, index_t d1, index_t jb) const {
-    const auto& blk = ab.block(jb);
-    zero_panel(out, i0, d1, blk.col0, blk.csr.cols());
-    kernel_jki(out, i0, d1, blk, ctx.sampler, ctx.v.data(), ctx.timer());
-  }
-};
-
-/// B = A·Sᵀ, row-major m×d: the block at c0 covers B[:, c0 : c0+d1). CSC is
-/// the natural format — one regenerated column S[c0 : c0+d1, k] serves every
-/// nonzero of A's column k (the reuse Algorithm 4 needs blocked CSR for).
-template <typename T>
-struct RightBlocks {
-  using value_type = T;
-  const CscMatrix<T>& a;
-  std::vector<T>& b;
-  index_t d;
-  index_t nonempty_cols;
-
-  index_t jblocks() const { return 1; }
-  BlockWork work(index_t) const {
-    return {a.rows(), nonempty_cols, a.nnz(),
-            (static_cast<std::uint64_t>(a.cols()) + 1) * sizeof(index_t)};
-  }
-  void block(ThreadCtx<T>& ctx, index_t c0, index_t d1, index_t) const {
-    T* const out = b.data();
-    for (index_t i = 0; i < a.rows(); ++i) {
-      std::fill_n(out + i * d + c0, d1, T{0});
-    }
-    T* const v = ctx.v.data();
-    // The sampler's micro-kernel axpy, the one the left kernels use, so B is
-    // bitwise the transpose of sketch_into(cfg, Aᵀ).
-    const microkernel::Ops<T>& mk = ctx.sampler.mk();
-    for (index_t k = 0; k < a.cols(); ++k) {
-      const index_t lo = a.col_ptr()[static_cast<std::size_t>(k)];
-      const index_t hi = a.col_ptr()[static_cast<std::size_t>(k) + 1];
-      if (lo == hi) continue;  // column k of S never generated
-      ctx.sampler.fill(c0, k, v, d1);
-      for (index_t p = lo; p < hi; ++p) {
-        const index_t i = a.row_idx()[static_cast<std::size_t>(p)];
-        mk.axpy(d1, a.values()[static_cast<std::size_t>(p)], v,
-                out + i * d + c0);
-      }
-    }
+    const CsrSlab<T>& s = slabs[static_cast<std::size_t>(jb)];
+    zero_panel(out, i0, d1, s.col0, s.cols);
+    kernel_jki(out, i0, d1, s, ctx.sampler, ctx.v.data(), ctx.timer());
   }
 };
 
@@ -363,34 +324,30 @@ SketchStats sketch_blocked_kji(const SketchConfig& cfg, const CscMatrix<T>& a,
 }
 
 template <typename T>
-SketchStats sketch_blocked_jki(const SketchConfig& cfg, const BlockedCsr<T>& ab,
+SketchStats sketch_blocked_jki(const SketchConfig& cfg,
+                               std::span<const CsrSlab<T>> slabs,
                                DenseMatrix<T>& a_hat, bool instrument,
                                const RunControl* run) {
   cfg.validate();
-  require(a_hat.rows() == cfg.d && a_hat.cols() == ab.cols(),
+  const index_t n = slabs.empty() ? 0 : slabs.back().col0 + slabs.back().cols;
+  require(a_hat.rows() == cfg.d && a_hat.cols() == n,
           "sketch_blocked_jki: a_hat must be d x n");
-  SketchStats stats = run_outer_blocks(cfg, JkiBlocks<T>{ab, a_hat},
+  SketchStats stats = run_outer_blocks(cfg, JkiBlocks<T>{slabs, a_hat},
                                        "sketch_blocked_jki", instrument, run);
-  stats.block_n = ab.num_blocks() > 0 ? ab.block_width(0) : 0;
+  stats.block_n = slabs.empty() ? 0 : slabs.front().cols;
   return stats;
 }
 
 template <typename T>
-SketchStats sketch_blocked_right(const SketchConfig& cfg,
-                                 const CscMatrix<T>& a,
-                                 std::vector<T>& b_rowmajor,
-                                 const RunControl* run) {
-  cfg.validate();
-  require(static_cast<index_t>(b_rowmajor.size()) == a.rows() * cfg.d,
-          "sketch_blocked_right: b must hold m x d elements");
-  index_t nonempty_cols = 0;
-  for (index_t k = 0; k < a.cols(); ++k) {
-    nonempty_cols += a.col_ptr()[static_cast<std::size_t>(k) + 1] >
-                     a.col_ptr()[static_cast<std::size_t>(k)];
+SketchStats sketch_blocked_jki(const SketchConfig& cfg, const BlockedCsr<T>& ab,
+                               DenseMatrix<T>& a_hat, bool instrument,
+                               const RunControl* run) {
+  std::vector<CsrSlab<T>> slabs(static_cast<std::size_t>(ab.num_blocks()));
+  for (index_t b = 0; b < ab.num_blocks(); ++b) {
+    slabs[static_cast<std::size_t>(b)] = ab.slab(b);
   }
-  return run_outer_blocks(cfg,
-                          RightBlocks<T>{a, b_rowmajor, cfg.d, nonempty_cols},
-                          "sketch_right", false, run);
+  return sketch_blocked_jki(cfg, std::span<const CsrSlab<T>>(slabs), a_hat,
+                            instrument, run);
 }
 
 #define RSKETCH_INSTANTIATE(T)                                                \
@@ -400,17 +357,14 @@ SketchStats sketch_blocked_right(const SketchConfig& cfg,
   template SketchStats run_outer_blocks(                                      \
       const SketchConfig&, const JkiBlocks<T>&, const char*, bool,            \
       const RunControl*);                                                     \
-  template SketchStats run_outer_blocks(                                      \
-      const SketchConfig&, const RightBlocks<T>&, const char*, bool,          \
-      const RunControl*);                                                     \
   template SketchStats sketch_blocked_kji<T>(                                 \
       const SketchConfig&, const CscMatrix<T>&, DenseMatrix<T>&, bool,        \
       const RunControl*);                                                     \
   template SketchStats sketch_blocked_jki<T>(                                 \
+      const SketchConfig&, std::span<const CsrSlab<T>>, DenseMatrix<T>&,      \
+      bool, const RunControl*);                                               \
+  template SketchStats sketch_blocked_jki<T>(                                 \
       const SketchConfig&, const BlockedCsr<T>&, DenseMatrix<T>&, bool,       \
-      const RunControl*);                                                     \
-  template SketchStats sketch_blocked_right<T>(                               \
-      const SketchConfig&, const CscMatrix<T>&, std::vector<T>&,              \
       const RunControl*);
 
 RSKETCH_INSTANTIATE(float)

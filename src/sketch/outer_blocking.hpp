@@ -1,12 +1,13 @@
 // Algorithm 1 of the paper: the (⌈d/b_d⌉, 1, ⌈n/b_n⌉) outer blocking loop
 // that drives a compute kernel over block pairs, with OpenMP threads taking
 // single (i-block, j-block) pairs, so both outer loops run in parallel
-// (§II-C). One driver in outer_blocking.cpp runs all three block kernels —
-// kji, jki and the right sketch — so the thread team, the cost-model
-// schedule, the stop latch and the busy accounting are shared.
+// (§II-C). One driver in outer_blocking.cpp runs both block kernels, kji
+// (Algorithm 3) and jki (Algorithm 4), so the thread team, the cost-model
+// schedule, the stop latch and the busy accounting are shared. The right
+// sketch is jki over Aᵀ (sketch/sketch_right.hpp).
 #pragma once
 
-#include <vector>
+#include <span>
 
 #include "dense/dense_matrix.hpp"
 #include "sketch/config.hpp"
@@ -34,21 +35,21 @@ SketchStats sketch_blocked_kji(const SketchConfig& cfg, const CscMatrix<T>& a,
                                DenseMatrix<T>& a_hat, bool instrument = false,
                                const RunControl* run = nullptr);
 
-/// Run Algorithm 1 with the jki kernel (Algorithm 4) over a pre-built
-/// blocked-CSR matrix. The vertical block width of `ab` plays the role of
-/// b_n; cfg.block_n is ignored here. Run control as in sketch_blocked_kji.
+/// Run Algorithm 1 with the jki kernel (Algorithm 4) over vertical CSR
+/// slabs that tile the columns of a d × n output in order: the blocks of a
+/// BlockedCsr, or transposed_slab(A) for the right sketch. A slab's width
+/// plays the role of b_n; cfg.block_n is ignored here. Run control as in
+/// sketch_blocked_kji.
+template <typename T>
+SketchStats sketch_blocked_jki(const SketchConfig& cfg,
+                               std::span<const CsrSlab<T>> slabs,
+                               DenseMatrix<T>& a_hat, bool instrument = false,
+                               const RunControl* run = nullptr);
+
+/// The same over a pre-built blocked-CSR matrix.
 template <typename T>
 SketchStats sketch_blocked_jki(const SketchConfig& cfg, const BlockedCsr<T>& ab,
                                DenseMatrix<T>& a_hat, bool instrument = false,
                                const RunControl* run = nullptr);
-
-/// The right sketch B = A·Sᵀ (sketch/sketch_right.hpp) on the same driver:
-/// one block per b_d-slice of B's columns. `b_rowmajor` must hold m·d
-/// elements and is overwritten. Run control as in sketch_blocked_kji.
-template <typename T>
-SketchStats sketch_blocked_right(const SketchConfig& cfg,
-                                 const CscMatrix<T>& a,
-                                 std::vector<T>& b_rowmajor,
-                                 const RunControl* run = nullptr);
 
 }  // namespace rsketch

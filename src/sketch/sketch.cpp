@@ -96,12 +96,6 @@ void apply_post_scale(const SketchConfig& cfg, DenseMatrix<T>& a_hat) {
   for (index_t j = 0; j < a_hat.cols(); ++j) scal(a_hat.rows(), s, a_hat.col(j));
 }
 
-template <typename T>
-void apply_post_scale(const SketchConfig& cfg, std::vector<T>& b) {
-  const T s = sketch_post_scale<T>(cfg);
-  if (s != T{1}) scal(static_cast<index_t>(b.size()), s, b.data());
-}
-
 /// Kernel dispatch of sketch_into's body. `out` must already be d × n.
 template <typename T>
 SketchStats sketch_dispatch(const SketchConfig& cfg, const CscMatrix<T>& a,
@@ -202,9 +196,9 @@ std::uint64_t apply_budget_ladder(SketchConfig& eff, const CscMatrix<T>& a,
 
 }  // namespace
 
-template <typename Out>
-SketchStats sketch_frame(const SketchConfig& cfg, Out& out,
-                         const SketchFrame<Out>& steps) {
+template <typename T>
+SketchStats sketch_frame(const SketchConfig& cfg, DenseMatrix<T>& out,
+                         const SketchFrame<T>& steps) {
   cfg.validate();
   if (cfg.check_inputs) {
     perf::Span span("validate_inputs");
@@ -215,8 +209,8 @@ SketchStats sketch_frame(const SketchConfig& cfg, Out& out,
   // Unarmed: the body writes the caller's output in place. Armed: it writes
   // a private staging buffer that replaces `out` only once the whole call
   // succeeded.
-  Out staging;
-  Out& target = run == nullptr ? out : staging;
+  DenseMatrix<T> staging;
+  DenseMatrix<T>& target = run == nullptr ? out : staging;
   try {
     if (run != nullptr) run->poll();
     SketchConfig eff = cfg;
@@ -226,11 +220,13 @@ SketchStats sketch_frame(const SketchConfig& cfg, Out& out,
       eff.bounds = {.control = run};
       eff = steps.tune(eff);
     }
-    // Staged before the budget scope installs (the budget bounds workspace,
+    // Fitted before the budget scope installs (the budget bounds workspace,
     // not the result) and before the arena scope (the output escapes to the
     // caller, so it must not be arena-backed). The arena scope is
     // thread-local, so OMP workers still allocate off the plain heap.
-    steps.stage(target);
+    if (target.rows() != cfg.d || target.cols() != steps.cols) {
+      target.reset(cfg.d, steps.cols);
+    }
     SketchStats stats;
     {
       ScopedBudgetScope budget(run);
@@ -252,13 +248,13 @@ SketchStats sketch_frame(const SketchConfig& cfg, Out& out,
 template <typename T>
 SketchStats sketch_into(const SketchConfig& cfg, const CscMatrix<T>& a,
                         DenseMatrix<T>& a_hat, bool instrument) {
-  return sketch_frame<DenseMatrix<T>>(
+  return sketch_frame<T>(
       cfg, a_hat,
-      {.check = [&] { require_valid(a); },
+      {.cols = a.cols(),
+       .check = [&] { require_valid(a); },
        // Resolve (kernel, blocks, isa) through the tuner; the
        // effective config carries tune == Off and the caller's backend.
        .tune = [&](const SketchConfig& c) { return resolve_tuning(c, a); },
-       .stage = [&](DenseMatrix<T>& out) { fit(out, cfg.d, a.cols()); },
        .body = [&](const SketchConfig& c, DenseMatrix<T>& out,
                    RunControl* run) {
          SketchConfig eff = c;
@@ -284,10 +280,10 @@ SketchStats sketch_into_prepartitioned(const SketchConfig& cfg,
                                        bool instrument) {
   // The caller owns the partitioned structure, so there is no ladder here:
   // only the per-thread scratch is charged to a budget.
-  return sketch_frame<DenseMatrix<T>>(
+  return sketch_frame<T>(
       cfg, a_hat,
-      {.check = [&] { require_valid(ab); },
-       .stage = [&](DenseMatrix<T>& out) { fit(out, cfg.d, ab.cols()); },
+      {.cols = ab.cols(),
+       .check = [&] { require_valid(ab); },
        .body = [&](const SketchConfig& c, DenseMatrix<T>& out,
                    RunControl* run) {
          return sketch_blocked_jki(c, ab, out, instrument, run);
@@ -331,9 +327,7 @@ DenseMatrix<T> materialize_S(const SketchConfig& cfg, index_t m) {
       const SketchConfig&, const BlockedCsr<T>&, DenseMatrix<T>&, bool);     \
   template DenseMatrix<T> materialize_S<T>(const SketchConfig&, index_t);     \
   template SketchStats sketch_frame(const SketchConfig&, DenseMatrix<T>&,    \
-                                    const SketchFrame<DenseMatrix<T>>&);     \
-  template SketchStats sketch_frame(const SketchConfig&, std::vector<T>&,    \
-                                    const SketchFrame<std::vector<T>>&);
+                                    const SketchFrame<T>&);
 
 RSKETCH_INSTANTIATE(float)
 RSKETCH_INSTANTIATE(double)

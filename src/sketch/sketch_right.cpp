@@ -1,5 +1,7 @@
 #include "sketch/sketch_right.hpp"
 
+#include <span>
+
 #include "sketch/frame.hpp"
 #include "sketch/outer_blocking.hpp"
 #include "sparse/validate.hpp"
@@ -8,25 +10,24 @@ namespace rsketch {
 
 template <typename T>
 SketchStats sketch_right_into(const SketchConfig& cfg, const CscMatrix<T>& a,
-                              std::vector<T>& b_rowmajor) {
-  return sketch_frame<std::vector<T>>(
-      cfg, b_rowmajor,
-      {.check = [&] { require_valid(a); },
-       .stage =
-           [&](std::vector<T>& b) {
-             b.resize(static_cast<std::size_t>(a.rows() * cfg.d));
-           },
-       .body = [&](const SketchConfig& c, std::vector<T>& b,
+                              DenseMatrix<T>& bt) {
+  return sketch_frame<T>(
+      cfg, bt,
+      {.cols = a.rows(),
+       .check = [&] { require_valid(a); },
+       .body = [&](const SketchConfig& c, DenseMatrix<T>& out,
                    RunControl* run) {
-         return sketch_blocked_right(c, a, b, run);
+         const CsrSlab<T> at = transposed_slab(a);
+         return sketch_blocked_jki(c, std::span<const CsrSlab<T>>(&at, 1),
+                                   out, false, run);
        }});
 }
 
 template SketchStats sketch_right_into<float>(const SketchConfig&,
                                               const CscMatrix<float>&,
-                                              std::vector<float>&);
+                                              DenseMatrix<float>&);
 template SketchStats sketch_right_into<double>(const SketchConfig&,
                                                const CscMatrix<double>&,
-                                               std::vector<double>&);
+                                               DenseMatrix<double>&);
 
 }  // namespace rsketch

@@ -4,31 +4,34 @@
 // (RandBLAS exposes both sides); it drives the randomized range finder in
 // solvers/randomized_svd.
 //
-// CSC is the NATURAL format here: one regenerated column S[:, k] is reused
-// across every nonzero of A's column k (the same reuse Algorithm 4 has to
-// build blocked CSR to get), so the kernel generates only d·n samples and
-// keeps all accesses contiguous when B is stored row-major.
+// Bᵀ = S·Aᵀ is a left sketch of Aᵀ, and A's CSC arrays are the CSR of Aᵀ
+// array for array. So the right sketch is Algorithm 4 over Aᵀ read in place
+// as one vertical slab (transposed_slab in sparse/blocked_csr.hpp): one
+// regenerated column S[:, k] serves every nonzero of A's column k, with no
+// conversion and no copy, and the kernel generates only d·(nonempty columns)
+// samples.
 #pragma once
 
-#include <vector>
-
+#include "dense/dense_matrix.hpp"
 #include "sketch/config.hpp"
 #include "sparse/csc.hpp"
 
 namespace rsketch {
 
-/// Compute B = A·Sᵀ into a row-major m×d buffer (resized by the callee;
-/// element (i, c) at b_rowmajor[i·d + c]). Blocking over the d dimension
-/// follows cfg.block_d with the same (seed, checkpoint) contract as the
-/// left-sketch kernels: S[c0:c0+d1, k] is a pure function of (seed, c0, k).
-/// Any non-sequential cfg.parallel splits the d dimension across threads.
-/// Run control (cancel, deadline, budget) as for sketch_into; a stopped
-/// call leaves `b_rowmajor` untouched. S is the matrix materialize_S(cfg, n)
-/// returns (sketch/sketch.hpp), and B is byte for byte the transpose of the
-/// kji sketch_into(cfg, Aᵀ): both add the same products in the same order
-/// through the sampler's micro-kernel axpy.
+/// Compute Bᵀ = S·Aᵀ into `bt`, fitted to d × m by the callee: bt(c, i) is
+/// B's entry (i, c). Column i of Bᵀ is row i of B, so the layout is B's
+/// row-major m × d with each row padded to bt.ld(). Blocking over the d
+/// dimension follows cfg.block_d with the same (seed, checkpoint) contract
+/// as the left-sketch kernels: S[c0:c0+d1, k] is a pure function of
+/// (seed, c0, k). Aᵀ is one slab, so the schedule has ⌈d/b_d⌉ items: a
+/// non-sequential cfg.parallel splits the d dimension across threads, and
+/// when d ≤ b_d the sketch runs on one thread. Run control (cancel,
+/// deadline, budget) as for sketch_into; a stopped call leaves `bt`
+/// untouched. S is the matrix materialize_S(cfg, n) returns
+/// (sketch/sketch.hpp), and bt is byte for byte sketch_into(cfg, Aᵀ) with
+/// either kernel: all three add the same products in the same order.
 template <typename T>
 SketchStats sketch_right_into(const SketchConfig& cfg, const CscMatrix<T>& a,
-                              std::vector<T>& b_rowmajor);
+                              DenseMatrix<T>& bt);
 
 }  // namespace rsketch

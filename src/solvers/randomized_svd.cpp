@@ -52,15 +52,13 @@ RandomizedSvdResult<T> randomized_svd(const CscMatrix<T>& a, index_t rank,
   cfg.dist = options.dist;
   cfg.backend = options.backend;
   cfg.normalize = true;
-  std::vector<T> y_rowmajor;
-  sketch_right_into(cfg, a, y_rowmajor);
+  DenseMatrix<T> yt;  // Yᵀ, l×m
+  sketch_right_into(cfg, a, yt);
   out.sketch_seconds = phase.seconds();
 
   DenseMatrix<T> y(m, l);
   for (index_t i = 0; i < m; ++i) {
-    for (index_t c = 0; c < l; ++c) {
-      y(i, c) = y_rowmajor[static_cast<std::size_t>(i * l + c)];
-    }
+    for (index_t c = 0; c < l; ++c) y(i, c) = yt(c, i);
   }
 
   // --- 2. Power iterations with re-orthonormalization for stability.

@@ -3,7 +3,8 @@
 // applications the paper's introduction motivates ("low-rank approximation,
 // matrix decomposition, eigenvalue computation").
 //
-//   Y = A·Sᵀ            (m×l range sample via sketch_right, S never stored)
+//   Y = A·Sᵀ            (m×l range sample: sketch_right_into writes Yᵀ = S·Aᵀ,
+//                        Alg. 4 over A's CSC read as Aᵀ, S never stored)
 //   optional power iterations  Y ← A(AᵀY)
 //   Y = QR               →  Q (m×l orthonormal)
 //   B = QᵀA              (l×n, via l sparse transpose-products)

@@ -12,6 +12,37 @@
 
 namespace rsketch {
 
+/// Non-owning CSR view of one vertical slab A[:, col0 : col0 + cols): what
+/// the jki kernel walks. BlockedCsr::slab(b) gives one of its blocks;
+/// transposed_slab() gives a CSC matrix's transpose.
+template <typename T>
+struct CsrSlab {
+  index_t col0 = 0;            ///< first global column of the slab
+  index_t rows = 0;
+  index_t cols = 0;
+  const index_t* row_ptr = nullptr;  ///< rows + 1 offsets
+  const index_t* col_idx = nullptr;  ///< slab-local column indices
+  const T* values = nullptr;
+  index_t nnz = 0;
+  index_t nonempty_rows = 0;   ///< rows with >= 1 entry
+};
+
+/// Aᵀ as a one-slab CSR: A's CSC arrays read as they are (column k of A is
+/// row k of Aᵀ), copying nothing. The view lives as long as `a` does.
+template <typename T>
+CsrSlab<T> transposed_slab(const CscMatrix<T>& a) {
+  index_t nonempty = 0;
+  for (index_t k = 0; k < a.cols(); ++k) nonempty += a.col_nnz(k) > 0;
+  return {0,
+          a.cols(),
+          a.rows(),
+          a.col_ptr().data(),
+          a.row_idx().data(),
+          a.values().data(),
+          a.nnz(),
+          nonempty};
+}
+
 /// Vertical-block partition of an m×n CSC matrix with per-block CSR storage.
 template <typename T>
 class BlockedCsr {
@@ -45,13 +76,18 @@ class BlockedCsr {
     return blocks_[static_cast<std::size_t>(b)];
   }
 
-  /// Cost-model metadata of block b (sketch/schedule.hpp): everything the
-  /// per-block work estimator needs without touching the CSR arrays.
-  index_t block_nnz(index_t b) const { return block(b).nnz; }
-  index_t block_nonempty_rows(index_t b) const {
-    return block(b).nonempty_rows;
+  /// Block b as the view the jki kernel walks.
+  CsrSlab<T> slab(index_t b) const {
+    const Block& blk = block(b);
+    return {blk.col0,
+            blk.csr.rows(),
+            blk.csr.cols(),
+            blk.csr.row_ptr().data(),
+            blk.csr.col_idx().data(),
+            blk.csr.values().data(),
+            blk.nnz,
+            blk.nonempty_rows};
   }
-  index_t block_width(index_t b) const { return block(b).csr.cols(); }
 
   index_t nnz() const;
   std::size_t memory_bytes() const;

@@ -112,7 +112,7 @@ TEST(KernelJki, SingleBlockMatchesReference) {
   DenseMatrix<double> got(40, 25);
   SketchSampler<double> sampler(cfg.seed, cfg.dist, cfg.backend);
   std::vector<double> v(40);
-  kernel_jki(got, 0, 40, ab.block(0), sampler, v.data());
+  kernel_jki(got, 0, 40, ab.slab(0), sampler, v.data());
   EXPECT_LT(got.max_abs_diff(expect), 1e-12);
 }
 
@@ -126,7 +126,7 @@ TEST(KernelJki, MultipleVerticalBlocksMatchReference) {
   SketchSampler<double> sampler(cfg.seed, cfg.dist, cfg.backend);
   std::vector<double> v(48);
   for (index_t b = 0; b < ab.num_blocks(); ++b) {
-    kernel_jki(got, 0, 48, ab.block(b), sampler, v.data());
+    kernel_jki(got, 0, 48, ab.slab(b), sampler, v.data());
   }
   EXPECT_LT(got.max_abs_diff(expect), 1e-12);
 }
@@ -140,7 +140,7 @@ TEST(KernelJki, SkipsEmptyRowsEntirely) {
   DenseMatrix<double> got(32, 10);
   SketchSampler<double> sampler(cfg.seed, cfg.dist, cfg.backend);
   std::vector<double> v(32);
-  kernel_jki(got, 0, 32, ab.block(0), sampler, v.data());
+  kernel_jki(got, 0, 32, ab.slab(0), sampler, v.data());
   EXPECT_EQ(sampler.samples_generated(), 32u * 8u);  // 8 nonempty rows
 }
 
@@ -176,7 +176,7 @@ TEST(KernelJki, SampleCountFarBelowKji) {
   const auto ab = BlockedCsr<double>::from_csc(a, 100);
   SketchSampler<double> s_jki(cfg.seed, cfg.dist, cfg.backend);
   out.set_zero();
-  kernel_jki(out, 0, d, ab.block(0), s_jki, v.data());
+  kernel_jki(out, 0, d, ab.slab(0), s_jki, v.data());
 
   EXPECT_LT(s_jki.samples_generated() * 2, s_kji.samples_generated());
 }

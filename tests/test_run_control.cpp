@@ -573,10 +573,9 @@ std::vector<double> run_entry(Entry e, const RunBounds& bounds,
     }
     case Entry::Right: {
       cfg.bounds = bounds;
-      std::vector<double> out(static_cast<std::size_t>(a.rows() * cfg.d),
-                              -123.25);
+      auto out = sentinel_matrix(cfg.d, a.rows());
       guarded([&] { sketch_right_into(cfg, a, out); });
-      return out;
+      return flatten(out);
     }
     case Entry::Sap: {
       SapOptions opt;

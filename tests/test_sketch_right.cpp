@@ -17,19 +17,33 @@
 namespace rsketch {
 namespace {
 
-/// Dense reference B = A·Sᵀ from the materialized right-sketch S (d×n).
-std::vector<double> reference(const SketchConfig& cfg,
+/// Dense reference Bᵀ = S·Aᵀ (d×m) from the materialized right-sketch S
+/// (d×n).
+DenseMatrix<double> reference(const SketchConfig& cfg,
                               const CscMatrix<double>& a) {
   const auto s = materialize_S<double>(cfg, a.cols());
-  std::vector<double> b(static_cast<std::size_t>(a.rows() * cfg.d), 0.0);
+  DenseMatrix<double> bt(cfg.d, a.rows());
   for (index_t i = 0; i < a.rows(); ++i) {
     for (index_t c = 0; c < cfg.d; ++c) {
       double acc = 0.0;
       for (index_t k = 0; k < a.cols(); ++k) acc += a.at(i, k) * s(c, k);
-      b[static_cast<std::size_t>(i * cfg.d + c)] = acc;
+      bt(c, i) = acc;
     }
   }
-  return b;
+  return bt;
+}
+
+/// Entries of two equal-shaped matrices whose bytes differ (padding aside).
+template <typename T>
+int differing_entries(const DenseMatrix<T>& x, const DenseMatrix<T>& y) {
+  if (x.rows() != y.rows() || x.cols() != y.cols()) return -1;
+  int differs = 0;
+  for (index_t j = 0; j < x.cols(); ++j) {
+    for (index_t i = 0; i < x.rows(); ++i) {
+      differs += std::memcmp(&x(i, j), &y(i, j), sizeof(T)) != 0;
+    }
+  }
+  return differs;
 }
 
 using Combo = std::tuple<Dist, index_t, int>;
@@ -47,27 +61,23 @@ TEST_P(SketchRight, MatchesMaterializedProduct) {
 
   // Teams of one, two and three threads: three is a real, uneven team even
   // on a two-core machine.
-  std::vector<double> b;
+  DenseMatrix<double> bt;
   {
     ThreadCountGuard guard(team);
-    sketch_right_into(cfg, a, b);
+    sketch_right_into(cfg, a, bt);
   }
   const auto expect = reference(cfg, a);
-  ASSERT_EQ(b.size(), expect.size());
-  double max_diff = 0.0;
-  for (std::size_t p = 0; p < b.size(); ++p) {
-    max_diff = std::max(max_diff, std::abs(b[p] - expect[p]));
-  }
+  ASSERT_EQ(bt.rows(), expect.rows());
+  ASSERT_EQ(bt.cols(), expect.cols());
   const double tol = dist == Dist::UniformScaled ? 1e-7 : 1e-10;
-  EXPECT_LT(max_diff, tol);
+  EXPECT_LT(bt.max_abs_diff(expect), tol);
 
   // The parallel run is the sequential run, bit for bit.
   SketchConfig seq = cfg;
   seq.parallel = ParallelOver::Sequential;
-  std::vector<double> want;
+  DenseMatrix<double> want;
   sketch_right_into(seq, a, want);
-  ASSERT_EQ(want.size(), b.size());
-  EXPECT_EQ(0, std::memcmp(want.data(), b.data(), b.size() * sizeof(double)))
+  EXPECT_EQ(0, differing_entries(want, bt))
       << "differs from the sequential run";
 }
 
@@ -93,8 +103,8 @@ TEST(SketchRight, SampleCountIsDTimesNonemptyColumnsPerBlock) {
   SketchConfig cfg;
   cfg.d = 16;
   cfg.block_d = 16;
-  std::vector<double> b;
-  const auto stats = sketch_right_into(cfg, a, b);
+  DenseMatrix<double> bt;
+  const auto stats = sketch_right_into(cfg, a, bt);
   EXPECT_EQ(stats.samples_generated, 16u * 3u);
 }
 
@@ -104,43 +114,64 @@ TEST(SketchRight, ParallelMatchesSequentialExactly) {
   cfg.d = 40;
   cfg.block_d = 8;
   cfg.parallel = ParallelOver::Sequential;
-  std::vector<double> seq, par;
+  DenseMatrix<double> seq, par;
   sketch_right_into(cfg, a, seq);
   cfg.parallel = ParallelOver::DBlocks;
   sketch_right_into(cfg, a, par);
-  EXPECT_EQ(seq, par);
+  EXPECT_EQ(0, differing_entries(seq, par));
 }
 
-/// A·Sᵀ is (S·Aᵀ)ᵀ, and both sides add the same products in the same order
-/// through the same micro-kernel axpy, so the right sketch must equal the
-/// transposed left sketch byte for byte (b_d = 16 does not divide d = 40).
+/// A·Sᵀ is (S·Aᵀ)ᵀ, and all three add the same products in the same order
+/// through the sampler's micro-kernel, so the right sketch must equal both
+/// left sketches of Aᵀ byte for byte, on every backend and team size. b_d
+/// runs from one row to more than d, 7 and 16 do not divide d = 40.
 template <typename T>
-void expect_right_is_transposed_left(Dist dist) {
+int right_differs_from_transposed_left(Dist dist, RngBackend backend,
+                                       index_t bd, KernelVariant kernel,
+                                       int team) {
   const auto a = random_sparse<T>(300, 60, 0.1, 5);
   SketchConfig cfg;
   cfg.d = 40;
-  cfg.block_d = 16;
+  cfg.block_d = bd;
+  cfg.block_n = 16;
   cfg.dist = dist;
-  cfg.kernel = KernelVariant::Kji;
-  std::vector<T> right;
+  cfg.backend = backend;
+  cfg.kernel = kernel;
+  ThreadCountGuard guard(team);
+  DenseMatrix<T> right;
   sketch_right_into(cfg, a, right);
   DenseMatrix<T> left;
   sketch_into(cfg, transpose(a), left);
-  int differs = 0;
-  for (index_t i = 0; i < a.rows(); ++i) {
-    for (index_t c = 0; c < cfg.d; ++c) {
-      differs += std::memcmp(&right[static_cast<std::size_t>(i * cfg.d + c)],
-                             &left(c, i), sizeof(T)) != 0;
-    }
-  }
-  EXPECT_EQ(differs, 0) << to_string(dist) << " sizeof(T)=" << sizeof(T);
+  return differing_entries(right, left);
 }
 
 TEST(SketchRight, BitwiseTransposeOfLeftSketch) {
   for (const Dist dist : {Dist::PmOne, Dist::Uniform, Dist::UniformScaled,
                           Dist::Gaussian}) {
-    expect_right_is_transposed_left<float>(dist);
-    expect_right_is_transposed_left<double>(dist);
+    for (const RngBackend backend : {RngBackend::Xoshiro,
+                                     RngBackend::XoshiroBatch,
+                                     RngBackend::Philox}) {
+      for (const index_t bd : {index_t{1}, index_t{7}, index_t{16},
+                               index_t{3000}}) {
+        for (const KernelVariant kernel :
+             {KernelVariant::Kji, KernelVariant::Jki}) {
+          for (const int team : {1, 3}) {
+            const auto where = [&](std::size_t bytes) {
+              return to_string(dist) + " " + to_string(backend) + " bd=" +
+                     std::to_string(bd) + " " + to_string(kernel) +
+                     " team=" + std::to_string(team) +
+                     " sizeof(T)=" + std::to_string(bytes);
+            };
+            EXPECT_EQ(0, right_differs_from_transposed_left<float>(
+                             dist, backend, bd, kernel, team))
+                << where(sizeof(float));
+            EXPECT_EQ(0, right_differs_from_transposed_left<double>(
+                             dist, backend, bd, kernel, team))
+                << where(sizeof(double));
+          }
+        }
+      }
+    }
   }
 }
 
@@ -150,13 +181,11 @@ TEST(SketchRight, PhiloxBlockingIndependent) {
   cfg.d = 20;
   cfg.backend = RngBackend::Philox;
   cfg.block_d = 20;
-  std::vector<double> b1, b2;
+  DenseMatrix<double> b1, b2;
   sketch_right_into(cfg, a, b1);
   cfg.block_d = 3;
   sketch_right_into(cfg, a, b2);
-  for (std::size_t p = 0; p < b1.size(); ++p) {
-    ASSERT_NEAR(b1[p], b2[p], 1e-12);
-  }
+  EXPECT_EQ(0, differing_entries(b1, b2));
 }
 
 TEST(SketchRight, NormalizePreservesColumnNormsApproximately) {
@@ -166,13 +195,13 @@ TEST(SketchRight, NormalizePreservesColumnNormsApproximately) {
   cfg.d = 320;
   cfg.dist = Dist::PmOne;
   cfg.normalize = true;
-  std::vector<double> b;
-  sketch_right_into(cfg, a, b);
+  DenseMatrix<double> bt;
+  sketch_right_into(cfg, a, bt);
   for (index_t i = 0; i < 10; ++i) {
     double orig = 0.0, sk = 0.0;
     for (index_t k = 0; k < a.cols(); ++k) orig += a.at(i, k) * a.at(i, k);
     for (index_t c = 0; c < cfg.d; ++c) {
-      const double v = b[static_cast<std::size_t>(i * cfg.d + c)];
+      const double v = bt(c, i);
       sk += v * v;
     }
     if (orig == 0.0) continue;
@@ -184,14 +213,17 @@ TEST(SketchRight, EmptyAndInvalidInputs) {
   CscMatrix<double> empty(10, 0);
   SketchConfig cfg;
   cfg.d = 4;
-  std::vector<double> b;
-  sketch_right_into(cfg, empty, b);
-  EXPECT_EQ(b.size(), 40u);
-  for (double v : b) EXPECT_EQ(v, 0.0);
+  DenseMatrix<double> bt;
+  sketch_right_into(cfg, empty, bt);
+  ASSERT_EQ(bt.rows(), 4);
+  ASSERT_EQ(bt.cols(), 10);
+  for (index_t i = 0; i < 10; ++i) {
+    for (index_t c = 0; c < 4; ++c) EXPECT_EQ(bt(c, i), 0.0);
+  }
 
   const auto a = random_sparse<double>(5, 5, 0.5, 1);
   cfg.block_d = 0;
-  EXPECT_THROW(sketch_right_into(cfg, a, b), invalid_argument_error);
+  EXPECT_THROW(sketch_right_into(cfg, a, bt), invalid_argument_error);
 }
 
 TEST(SketchRight, CheckInputsRejectsCorruptInput) {
@@ -201,12 +233,12 @@ TEST(SketchRight, CheckInputsRejectsCorruptInput) {
   const auto bad = faults::corrupt_csc(clean, faults::CscFault::NanPayload, 1);
   SketchConfig cfg;
   cfg.d = 16;
-  std::vector<double> b;
+  DenseMatrix<double> bt;
   // Off by default: the hot path never validates.
-  EXPECT_NO_THROW(sketch_right_into(cfg, bad, b));
+  EXPECT_NO_THROW(sketch_right_into(cfg, bad, bt));
   cfg.check_inputs = true;
-  EXPECT_THROW(sketch_right_into(cfg, bad, b), validation_error);
-  EXPECT_NO_THROW(sketch_right_into(cfg, clean, b));
+  EXPECT_THROW(sketch_right_into(cfg, bad, bt), validation_error);
+  EXPECT_NO_THROW(sketch_right_into(cfg, clean, bt));
 }
 
 }  // namespace
